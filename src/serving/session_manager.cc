@@ -243,6 +243,19 @@ void SessionManager::Drain() {
                  [this] { return queued_count_ == 0 && in_flight_ == 0; });
 }
 
+void SessionManager::HoldDispatch() {
+  std::lock_guard<std::mutex> lock(submit_mutex_);
+  dispatch_held_ = true;
+}
+
+void SessionManager::ReleaseDispatch() {
+  {
+    std::lock_guard<std::mutex> lock(submit_mutex_);
+    dispatch_held_ = false;
+  }
+  dispatch_cv_.notify_all();
+}
+
 size_t SessionManager::queued() const {
   std::lock_guard<std::mutex> lock(submit_mutex_);
   return queued_count_;
@@ -265,8 +278,9 @@ void SessionManager::WorkerLoop() {
     uint64_t dispatch_index = 0;
     {
       std::unique_lock<std::mutex> lock(submit_mutex_);
-      dispatch_cv_.wait(
-          lock, [this] { return stopping_ || queued_count_ > 0; });
+      dispatch_cv_.wait(lock, [this] {
+        return stopping_ || (!dispatch_held_ && queued_count_ > 0);
+      });
       if (queued_count_ == 0) return;  // stopping and fully drained
       // Class priority first (OLTP before OLAP), earliest deadline within
       // the class, ticket order among equal deadlines.

@@ -172,7 +172,17 @@ class SessionManager {
   Status ExecuteWrite(const std::function<Status()>& write);
 
   /// Blocks until the admission queue is empty and no query is in flight.
+  /// Must not be called while dispatch is held (it would never return).
   void Drain();
+
+  /// Dispatch hold: while held, workers dequeue nothing, so submissions
+  /// pile up in the admission queue in a known state (queries already
+  /// running are unaffected). Release wakes the workers, which then dispatch
+  /// the queue in EDF-within-class order. Shutdown drains the queue even
+  /// while held. Lets callers (tests) build queue order without relying on
+  /// how long a running query takes.
+  void HoldDispatch();
+  void ReleaseDispatch();
 
   /// Steady-clock nanoseconds — the domain of SubmitOptions::deadline_ns.
   static uint64_t NowNs();
@@ -251,6 +261,7 @@ class SessionManager {
   size_t in_flight_ = 0;
   uint64_t next_ticket_ = 0;
   uint64_t next_dispatch_index_ = 0;
+  bool dispatch_held_ = false;
   bool stopping_ = false;
 
   /// Readers (query executions) hold it shared; ExecuteWrite exclusively.

@@ -18,11 +18,26 @@ namespace hytap {
 /// branch-free (at most two word reads); Append() is amortized O(1).
 ///
 /// Scan-heavy callers should prefer the batch kernels (ScanEqual, ScanRange,
-/// DecodeRange): they stream 64-bit words with a running bit cursor instead
-/// of re-deriving word/offset per row, and they are safe to call concurrently
-/// from multiple threads on arbitrary (even overlapping) row ranges.
+/// DecodeRange). They are branch-free per row: ScanEqual/ScanRange evaluate
+/// 64 rows at a time into a match bitmask with the single unsigned test
+/// `code - lo < hi - lo` and emit positions with ctz; DecodeRange shares the
+/// same unaligned code load. They are safe to call concurrently from multiple
+/// threads on arbitrary (even overlapping) row ranges.
 class BitPackedVector {
  public:
+  /// Match-mask kernels behind ScanEqual/ScanRange. Every kernel produces
+  /// the same positions, bit for bit:
+  ///  - kPortable: one unaligned 8-byte load per code for widths <= 57; the
+  ///    running word cursor for wider codes and for tail rows whose 8-byte
+  ///    load would run past the payload.
+  ///  - kAvx2: 8 codes per 32-bit gather for widths <= 25, then shift,
+  ///    compare and movemask; everything else as kPortable.
+  enum class Kernel { kPortable, kAvx2 };
+
+  /// True if `kernel` can run on this CPU (kPortable always can; kAvx2 is
+  /// probed once per process). ScanEqual/ScanRange use kAvx2 where it can.
+  static bool KernelSupported(Kernel kernel);
+
   /// `bits` must be in [1, 64].
   explicit BitPackedVector(uint32_t bits);
 
@@ -54,6 +69,12 @@ class BitPackedVector {
   /// half-open interval [code_lo, code_hi) to `out` (ascending).
   void ScanRange(uint64_t code_lo, uint64_t code_hi, size_t row_begin,
                  size_t row_end, PositionList* out) const;
+
+  /// ScanRange on an explicit kernel, which must be supported (tests
+  /// compare the kernels directly).
+  void ScanRangeWith(Kernel kernel, uint64_t code_lo, uint64_t code_hi,
+                     size_t row_begin, size_t row_end,
+                     PositionList* out) const;
 
   /// Unpacks the codes of rows [row_begin, row_end) into out[0 ..
   /// row_end - row_begin).

@@ -7,20 +7,6 @@ namespace hytap {
 namespace {
 
 template <typename T>
-T Unbox(const Value& v);
-
-template <>
-int32_t Unbox<int32_t>(const Value& v) { return v.AsInt32(); }
-template <>
-int64_t Unbox<int64_t>(const Value& v) { return v.AsInt64(); }
-template <>
-float Unbox<float>(const Value& v) { return v.AsFloat(); }
-template <>
-double Unbox<double>(const Value& v) { return v.AsDouble(); }
-template <>
-std::string Unbox<std::string>(const Value& v) { return v.AsString(); }
-
-template <typename T>
 constexpr DataType TypeOf() {
   if constexpr (std::is_same_v<T, int32_t>) return DataType::kInt32;
   if constexpr (std::is_same_v<T, int64_t>) return DataType::kInt64;
@@ -63,8 +49,8 @@ bool DictionaryColumn<T>::CodeRange(const Value* lo, const Value* hi,
                                     ValueId* code_hi) const {
   *code_lo = 0;
   *code_hi = static_cast<ValueId>(dictionary_.size());
-  if (lo != nullptr) *code_lo = dictionary_.LowerBoundCode(Unbox<T>(*lo));
-  if (hi != nullptr) *code_hi = dictionary_.UpperBoundCode(Unbox<T>(*hi));
+  if (lo != nullptr) *code_lo = dictionary_.LowerBoundCode(lo->As<T>());
+  if (hi != nullptr) *code_hi = dictionary_.UpperBoundCode(hi->As<T>());
   return *code_lo < *code_hi;
 }
 
@@ -129,10 +115,18 @@ void DictionaryColumn<T>::Probe(const Value* lo, const Value* hi,
                                 PositionList* out) const {
   ValueId code_lo, code_hi;
   if (!CodeRange(lo, hi, &code_lo, &code_hi)) return;
+  // Branch-free append: every candidate is written, the cursor advances only
+  // past survivors (the unsigned `code - lo < span` test of the scan kernel).
+  const uint64_t span = code_hi - code_lo;
+  const size_t base = out->size();
+  out->resize(base + in.size());
+  RowId* dst = out->data() + base;
+  size_t kept = 0;
   for (RowId row : in) {
-    const uint64_t code = codes_.Get(row);
-    if (code >= code_lo && code < code_hi) out->push_back(row);
+    dst[kept] = row;
+    kept += codes_.Get(row) - code_lo < span;
   }
+  out->resize(base + kept);
 }
 
 std::unique_ptr<AbstractColumn> BuildDictionaryColumn(

@@ -34,6 +34,8 @@ class RowLayout {
 
   /// Data type stored in member slot `slot`.
   DataType slot_type(size_t slot) const { return slots_[slot].type; }
+  /// Byte offset of member slot `slot` inside a row.
+  size_t slot_offset(size_t slot) const { return slots_[slot].offset; }
 
   /// Page that holds `row`, and the byte offset of the row inside the page.
   PageId PageOf(RowId row) const { return row / rows_per_page_; }

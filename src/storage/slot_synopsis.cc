@@ -1,5 +1,6 @@
 #include "storage/slot_synopsis.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/assert.h"
@@ -60,6 +61,12 @@ SlotSynopsis::SlotSynopsis(const RowLayout& layout,
         if (v > maxs_[slot][page].i) maxs_[slot][page].i = v;
       } else {
         const double v = AsDouble(row[slot], types_[slot]);
+        if (std::isnan(v)) {
+          // NaN satisfies every range filter (!(v < lo) && !(hi < v)), so
+          // a page holding one must never be pruned.
+          mins_[slot][page].d = -std::numeric_limits<double>::infinity();
+          maxs_[slot][page].d = std::numeric_limits<double>::infinity();
+        }
         if (v < mins_[slot][page].d) mins_[slot][page].d = v;
         if (v > maxs_[slot][page].d) maxs_[slot][page].d = v;
       }

@@ -1,5 +1,8 @@
 #include "storage/sscg.h"
 
+#include <cstring>
+#include <limits>
+
 #include "common/assert.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -13,6 +16,82 @@ bool InRange(const Value& v, const Value* lo, const Value* hi) {
   if (lo != nullptr && v < *lo) return false;
   if (hi != nullptr && *hi < v) return false;
   return true;
+}
+
+/// InRange on a numeric slot's raw bytes, against bounds unboxed once. A
+/// null bound becomes the type's extreme (an infinity for floating point),
+/// which every value — NaN included — satisfies exactly as `!(v < lo) &&
+/// !(hi < v)` does for the boxed bound, so results match InRange bit for
+/// bit, NaN and -0.0 included.
+template <typename T>
+class TypedSlotRange {
+ public:
+  TypedSlotRange(const Value* lo, const Value* hi)
+      : lo_(lo != nullptr ? lo->As<T>() : Lowest()),
+        hi_(hi != nullptr ? hi->As<T>() : Highest()) {}
+
+  bool Contains(const uint8_t* slot_bytes) const {
+    T v;
+    std::memcpy(&v, slot_bytes, sizeof(v));
+    return !(v < lo_) && !(hi_ < v);
+  }
+
+ private:
+  using Limits = std::numeric_limits<T>;
+  static T Lowest() {
+    return Limits::has_infinity ? -Limits::infinity() : Limits::lowest();
+  }
+  static T Highest() {
+    return Limits::has_infinity ? Limits::infinity() : Limits::max();
+  }
+
+  T lo_, hi_;
+};
+
+/// InRange on deserialized slot values: string slots, and bounds whose type
+/// differs from the slot (Value::Compare rejects those).
+class BoxedSlotRange {
+ public:
+  BoxedSlotRange(const RowLayout& layout, size_t slot, const Value* lo,
+                 const Value* hi)
+      : layout_(layout), slot_(slot), lo_(lo), hi_(hi) {}
+
+  bool Contains(const uint8_t* slot_bytes) const {
+    return InRange(layout_.DeserializeSlot(
+                       slot_bytes - layout_.slot_offset(slot_), slot_),
+                   lo_, hi_);
+  }
+
+ private:
+  const RowLayout& layout_;
+  size_t slot_;
+  const Value* lo_;
+  const Value* hi_;
+};
+
+/// Calls fn(range) with the [lo, hi] predicate of member slot `slot`,
+/// typed once per call: range.Contains(slot_bytes) tests one row's slot.
+template <typename Fn>
+void WithSlotRange(const RowLayout& layout, size_t slot, const Value* lo,
+                   const Value* hi, Fn&& fn) {
+  const DataType type = layout.slot_type(slot);
+  if ((lo != nullptr && lo->type() != type) ||
+      (hi != nullptr && hi->type() != type)) {
+    return fn(BoxedSlotRange(layout, slot, lo, hi));
+  }
+  switch (type) {
+    case DataType::kInt32:
+      return fn(TypedSlotRange<int32_t>(lo, hi));
+    case DataType::kInt64:
+      return fn(TypedSlotRange<int64_t>(lo, hi));
+    case DataType::kFloat:
+      return fn(TypedSlotRange<float>(lo, hi));
+    case DataType::kDouble:
+      return fn(TypedSlotRange<double>(lo, hi));
+    case DataType::kString:
+      return fn(BoxedSlotRange(layout, slot, lo, hi));
+  }
+  HYTAP_UNREACHABLE("invalid DataType");
 }
 
 /// Registry handles resolved once; Add() is gated on the HYTAP_METRICS knob.
@@ -185,23 +264,43 @@ Status Sscg::ScanSlotPages(size_t slot, const Value* lo, const Value* hi,
   const size_t morsels =
       ThreadPool::MorselCount(0, survivors.size(), kScanMorselPages);
   std::vector<PositionList> parts(morsels);
-  ThreadPool::Global().ParallelFor(
-      0, survivors.size(), kScanMorselPages, threads,
-      [&](size_t m, size_t s_begin, size_t s_end) {
-        PositionList& part = parts[m];
-        for (size_t s = s_begin; s < s_end; ++s) {
-          const size_t local = survivors[s];
-          const SecondaryStore::Page& page = store->RawPage(page_ids_[local]);
-          RowId row = local * layout_.rows_per_page();
-          const size_t rows_here =
-              std::min<size_t>(layout_.rows_per_page(), row_count_ - row);
-          for (size_t r = 0; r < rows_here; ++r, ++row) {
-            const Value v = layout_.DeserializeSlot(
-                page.data() + layout_.OffsetInPage(row), slot);
-            if (InRange(v, lo, hi)) part.push_back(row);
+  const size_t row_width = layout_.row_width();
+  const size_t slot_offset = layout_.slot_offset(slot);
+  WithSlotRange(layout_, slot, lo, hi, [&](const auto& range) {
+    ThreadPool::Global().ParallelFor(
+        0, survivors.size(), kScanMorselPages, threads,
+        [&](size_t m, size_t s_begin, size_t s_end) {
+          PositionList& part = parts[m];
+          for (size_t s = s_begin; s < s_end; ++s) {
+            const size_t local = survivors[s];
+            const RowId first = local * layout_.rows_per_page();
+            const size_t rows_here =
+                std::min<size_t>(layout_.rows_per_page(), row_count_ - first);
+            const uint8_t* slot_bytes =
+                store->RawPage(page_ids_[local]).data() + slot_offset;
+            // The slots sit one row width apart on pages scattered in
+            // memory: prefetch the next page's while filtering this one.
+            if (s + 1 < s_end) {
+              const uint8_t* next =
+                  store->RawPage(page_ids_[survivors[s + 1]]).data() +
+                  slot_offset;
+              for (size_t r = 0; r < rows_here; ++r) {
+                __builtin_prefetch(next + r * row_width);
+              }
+            }
+            // Branch-free append: write every row, keep the survivors.
+            const size_t base = part.size();
+            part.resize(base + rows_here);
+            RowId* dst = part.data() + base;
+            size_t kept = 0;
+            for (size_t r = 0; r < rows_here; ++r, slot_bytes += row_width) {
+              dst[kept] = first + r;
+              kept += range.Contains(slot_bytes);
+            }
+            part.resize(base + kept);
           }
-        }
-      });
+        });
+  });
   size_t total = out->size();
   for (const PositionList& part : parts) total += part.size();
   out->reserve(total);
@@ -236,13 +335,26 @@ Status Sscg::ProbeSlot(size_t slot, const Value* lo, const Value* hi,
                        uint32_t queue_depth, PositionList* out,
                        IoStats* io) const {
   SscgMetrics::Get().probe_rows->Add(in.size());
-  PositionList survivors;
-  for (RowId row : in) {
-    auto v = ProbeValue(row, slot, buffers, queue_depth, io);
-    if (!v.ok()) return v.status();  // `out` untouched: no partial results
-    if (InRange(*v, lo, hi)) survivors.push_back(row);
-  }
-  out->insert(out->end(), survivors.begin(), survivors.end());
+  PositionList survivors(in.size());
+  size_t kept = 0;
+  Status status = Status::Ok();
+  const size_t slot_offset = layout_.slot_offset(slot);
+  WithSlotRange(layout_, slot, lo, hi, [&](const auto& range) {
+    for (RowId row : in) {
+      // One fetch (and its accounting) per candidate, as ProbeValue does.
+      auto page =
+          FetchRowPage(row, buffers, AccessPattern::kRandom, queue_depth, io);
+      if (!page.ok()) {
+        status = page.status();  // `out` untouched: no partial results
+        return;
+      }
+      survivors[kept] = row;
+      kept += range.Contains((*page)->data() + layout_.OffsetInPage(row) +
+                             slot_offset);
+    }
+  });
+  if (!status.ok()) return status;
+  out->insert(out->end(), survivors.begin(), survivors.begin() + kept);
   return Status::Ok();
 }
 

@@ -115,9 +115,11 @@ class Sscg {
   /// of the group (row-oriented layout: no projection pushdown) except pages
   /// whose slot synopsis proves them irrelevant while `ZoneMapsEnabled()`:
   /// those are skipped entirely — no buffer-manager fetch, no device
-  /// latency, no checksum verify — and counted in `io->pages_pruned`. On a
-  /// page error the first failure (in page order) is returned and `out` is
-  /// left untouched; the IO accrued before the failure stays in `io`.
+  /// latency, no checksum verify — and counted in `io->pages_pruned`.
+  /// Numeric slots are filtered on raw slot bytes against bounds unboxed
+  /// once per call; string slots deserialize each value. On a page error
+  /// the first failure (in page order) is returned and `out` is left
+  /// untouched; the IO accrued before the failure stays in `io`.
   Status ScanSlot(size_t slot, const Value* lo, const Value* hi,
                   BufferManager* buffers, uint32_t threads, PositionList* out,
                   IoStats* io) const;
@@ -132,8 +134,10 @@ class Sscg {
                        PositionList* out, IoStats* io) const;
 
   /// Probes member slot `slot` for the candidate positions `in` (ascending),
-  /// appending survivors to `out`. Consecutive candidates on the same page
-  /// share one fetch. On a page error `out` is left untouched.
+  /// appending survivors to `out`. Every candidate is one buffer-manager
+  /// fetch, charged as such: consecutive candidates on the same page each
+  /// pay the page hit. Numeric slots compare raw slot bytes against bounds
+  /// unboxed once per call. On a page error `out` is left untouched.
   Status ProbeSlot(size_t slot, const Value* lo, const Value* hi,
                    const PositionList& in, BufferManager* buffers,
                    uint32_t queue_depth, PositionList* out, IoStats* io) const;

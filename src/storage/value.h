@@ -45,6 +45,12 @@ class Value {
   float AsFloat() const { return std::get<float>(data_); }
   double AsDouble() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
+  /// The payload as T, for code templated on the C++ type (As<int32_t>() is
+  /// AsInt32(), and so on).
+  template <typename T>
+  const T& As() const {
+    return std::get<T>(data_);
+  }
 
   /// Three-way comparison; both values must have the same type.
   int Compare(const Value& other) const;

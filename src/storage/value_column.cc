@@ -9,20 +9,6 @@ namespace hytap {
 namespace {
 
 template <typename T>
-T Unbox(const Value& v);
-
-template <>
-int32_t Unbox<int32_t>(const Value& v) { return v.AsInt32(); }
-template <>
-int64_t Unbox<int64_t>(const Value& v) { return v.AsInt64(); }
-template <>
-float Unbox<float>(const Value& v) { return v.AsFloat(); }
-template <>
-double Unbox<double>(const Value& v) { return v.AsDouble(); }
-template <>
-std::string Unbox<std::string>(const Value& v) { return v.AsString(); }
-
-template <typename T>
 constexpr DataType TypeOf() {
   if constexpr (std::is_same_v<T, int32_t>) return DataType::kInt32;
   if constexpr (std::is_same_v<T, int64_t>) return DataType::kInt64;
@@ -67,12 +53,12 @@ PositionList ValueColumn<T>::IndexLookup(const T& value) const {
 template <typename T>
 void ValueColumn<T>::ScanBetween(const Value* lo, const Value* hi,
                                  PositionList* out) const {
-  if (lo != nullptr && hi != nullptr && !(Unbox<T>(*lo) <= Unbox<T>(*hi))) {
+  if (lo != nullptr && hi != nullptr && !(lo->As<T>() <= hi->As<T>())) {
     return;
   }
-  if (lo != nullptr && hi != nullptr && Unbox<T>(*lo) == Unbox<T>(*hi)) {
+  if (lo != nullptr && hi != nullptr && lo->As<T>() == hi->As<T>()) {
     // Equality: use the B+-tree index.
-    PositionList rows = IndexLookup(Unbox<T>(*lo));
+    PositionList rows = IndexLookup(lo->As<T>());
     out->insert(out->end(), rows.begin(), rows.end());
     return;
   }
@@ -82,11 +68,11 @@ void ValueColumn<T>::ScanBetween(const Value* lo, const Value* hi,
   const T* hi_t = nullptr;
   T lo_storage{}, hi_storage{};
   if (lo != nullptr) {
-    lo_storage = Unbox<T>(*lo);
+    lo_storage = lo->As<T>();
     lo_t = &lo_storage;
   }
   if (hi != nullptr) {
-    hi_storage = Unbox<T>(*hi);
+    hi_storage = hi->As<T>();
     hi_t = &hi_storage;
   }
   for (RowId row = 0; row < codes_.size(); ++row) {
@@ -104,11 +90,11 @@ void ValueColumn<T>::Probe(const Value* lo, const Value* hi,
   const T* hi_t = nullptr;
   T lo_storage{}, hi_storage{};
   if (lo != nullptr) {
-    lo_storage = Unbox<T>(*lo);
+    lo_storage = lo->As<T>();
     lo_t = &lo_storage;
   }
   if (hi != nullptr) {
-    hi_storage = Unbox<T>(*hi);
+    hi_storage = hi->As<T>();
     hi_t = &hi_storage;
   }
   for (RowId row : in) {

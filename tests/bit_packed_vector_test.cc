@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 
@@ -122,52 +124,113 @@ TEST(BitPackedVectorTest, MemoryUsageIsExactWordCount) {
 }
 
 // Batch kernels (ScanEqual / ScanRange / DecodeRange) must agree with the
-// per-row Get() reference at every width, including widths that straddle
-// word boundaries and sub-ranges starting/ending mid-word.
-class BitPackedKernelTest : public ::testing::TestWithParam<uint32_t> {};
+// per-row Get() reference at every width: codes drawn over the full width,
+// several 64-row match-mask blocks plus a tail (whose 8-byte loads would
+// run past the payload), sub-ranges starting mid-block and mid-word, empty
+// and full-domain code ranges.
+class BitPackedKernelTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static constexpr size_t kRows = 5 * 64 + 29;
 
-TEST_P(BitPackedKernelTest, KernelsMatchGetReference) {
-  const uint32_t bits = GetParam();
-  const uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
-  // Draw from a small domain so ScanEqual/ScanRange get real matches.
-  const uint64_t domain = std::min<uint64_t>(mask, 16);
-  Rng rng(bits * 31 + 5);
-  BitPackedVector v(bits);
-  std::vector<uint64_t> ref;
-  const size_t n = 777;  // not a multiple of any word period
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t value = rng.Next() % (domain + 1);
-    v.Append(value);
-    ref.push_back(value);
-  }
-  // Sub-ranges chosen to start/end mid-word and straddle word boundaries.
-  const std::pair<size_t, size_t> ranges[] = {
-      {0, n}, {0, 0}, {1, 2}, {63, 65}, {64, 128}, {127, 129}, {500, 777}};
-  for (const auto& [begin, end] : ranges) {
-    const uint64_t target = domain / 2;
-    const uint64_t lo = domain / 4, hi = domain / 2 + 2;  // half-open [lo, hi)
-    PositionList eq, range, eq_ref, range_ref;
-    v.ScanEqual(target, begin, end, &eq);
-    v.ScanRange(lo, hi, begin, end, &range);
-    for (size_t i = begin; i < end; ++i) {
-      if (v.Get(i) == target) eq_ref.push_back(i);
-      const uint64_t code = v.Get(i);
-      if (code >= lo && code < hi) range_ref.push_back(i);
-    }
-    EXPECT_EQ(eq, eq_ref) << "bits=" << bits << " [" << begin << "," << end;
-    EXPECT_EQ(range, range_ref)
-        << "bits=" << bits << " [" << begin << "," << end;
-    std::vector<uint64_t> decoded(end - begin);
-    v.DecodeRange(begin, end, decoded.data());
-    for (size_t i = begin; i < end; ++i) {
-      ASSERT_EQ(decoded[i - begin], ref[i])
-          << "bits=" << bits << " i=" << i;
+  void SetUp() override {
+    bits_ = GetParam();
+    mask_ = bits_ == 64 ? ~0ULL : (1ULL << bits_) - 1;
+    Rng rng(bits_ * 31 + 5);
+    vector_ = std::make_unique<BitPackedVector>(bits_);
+    for (size_t i = 0; i < kRows; ++i) {
+      // Every tenth code repeats an earlier one so equality finds matches.
+      const uint64_t value =
+          i >= 10 && i % 10 == 0 ? ref_[rng.NextBounded(i)] : rng.Next() & mask_;
+      vector_->Append(value);
+      ref_.push_back(value);
     }
   }
+
+  /// Half-open code ranges: quantile cuts of the drawn codes, equality,
+  /// code_lo = 0, the full domain, a code_hi past the domain, empty ranges.
+  std::vector<std::pair<uint64_t, uint64_t>> CodeRanges() const {
+    std::vector<uint64_t> sorted = ref_;
+    std::sort(sorted.begin(), sorted.end());
+    const uint64_t q20 = sorted[kRows / 5], q30 = sorted[kRows * 3 / 10];
+    const uint64_t q60 = sorted[kRows * 3 / 5], x = ref_[kRows / 2];
+    std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+        {q20, q60}, {0, q30}, {x, x + 1}, {q60, q20}, {x, x},
+        {0, mask_},  // all but the top code
+        {q30, ~0ULL}};
+    if (bits_ < 64) {
+      ranges.push_back({0, mask_ + 1});  // the full domain
+      ranges.push_back({mask_ + 1, ~0ULL});  // entirely above the domain
+    }
+    return ranges;
+  }
+
+  /// Compares ScanRangeWith(kernel) with a Get() reference over row ranges
+  /// that start and end mid-block and mid-word.
+  void CheckKernel(BitPackedVector::Kernel kernel) const {
+    const std::pair<size_t, size_t> row_ranges[] = {
+        {0, kRows},   {0, 0},       {1, 2},     {5, 70},
+        {63, 65},     {64, 192},    {130, 131}, {100, kRows},
+        {kRows - 3, kRows}};
+    for (const auto& [lo, hi] : CodeRanges()) {
+      for (const auto& [begin, end] : row_ranges) {
+        PositionList got = {7}, want = {7};  // appends after existing rows
+        vector_->ScanRangeWith(kernel, lo, hi, begin, end, &got);
+        for (size_t i = begin; i < end; ++i) {
+          const uint64_t code = vector_->Get(i);
+          if (code >= lo && code < hi) want.push_back(i);
+        }
+        ASSERT_EQ(got, want) << "bits=" << bits_ << " code [" << lo << ","
+                             << hi << ") rows [" << begin << "," << end
+                             << ")";
+      }
+    }
+  }
+
+  uint32_t bits_ = 0;
+  uint64_t mask_ = 0;
+  std::unique_ptr<BitPackedVector> vector_;
+  std::vector<uint64_t> ref_;
+};
+
+TEST_P(BitPackedKernelTest, PortableKernelMatchesGetReference) {
+  CheckKernel(BitPackedVector::Kernel::kPortable);
 }
 
-INSTANTIATE_TEST_SUITE_P(StraddleWidths, BitPackedKernelTest,
-                         ::testing::Values(1u, 7u, 32u, 63u, 64u));
+TEST_P(BitPackedKernelTest, Avx2KernelMatchesGetReference) {
+  if (!BitPackedVector::KernelSupported(BitPackedVector::Kernel::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  CheckKernel(BitPackedVector::Kernel::kAvx2);
+}
+
+TEST_P(BitPackedKernelTest, ScanEqualAndDecodeMatchGetReference) {
+  for (size_t i = 0; i < kRows; ++i) ASSERT_EQ(vector_->Get(i), ref_[i]);
+  const std::pair<size_t, size_t> row_ranges[] = {
+      {0, kRows}, {0, 0}, {5, 70}, {63, 65}, {kRows - 3, kRows}};
+  const uint64_t targets[] = {ref_[0], ref_[kRows / 2], ref_[kRows - 1],
+                              mask_};
+  for (const auto& [begin, end] : row_ranges) {
+    for (uint64_t target : targets) {
+      PositionList eq, eq_ref;
+      vector_->ScanEqual(target, begin, end, &eq);
+      for (size_t i = begin; i < end; ++i) {
+        if (ref_[i] == target) eq_ref.push_back(i);
+      }
+      EXPECT_EQ(eq, eq_ref) << "bits=" << bits_ << " target=" << target;
+    }
+    std::vector<uint64_t> decoded(end - begin);
+    vector_->DecodeRange(begin, end, decoded.data());
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_EQ(decoded[i - begin], ref_[i]) << "bits=" << bits_ << " i=" << i;
+    }
+  }
+  // The kernels read the payload in place: MemoryUsage (which feeds the
+  // scan cost model and the DRAM budget) stays the occupied word count.
+  EXPECT_EQ(vector_->MemoryUsage(), (kRows * bits_ + 63) / 64 * 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWidths, BitPackedKernelTest,
+                         ::testing::Range(1u, 65u));
 
 TEST(BitPackedKernelTest, FullWidthExtremeValues) {
   // Width 64: every entry occupies exactly one word; mask must not clip.

@@ -288,12 +288,15 @@ TEST(LatencyPhaseTest, ShedAndQueuedCancelObserveZeroPhases) {
   ASSERT_TRUE(shed.ok());
   EXPECT_EQ((*shed)->Await().status.code(), StatusCode::kDeadlineExceeded);
 
-  // Queued cancel: block the only worker, cancel the queued victim.
+  // Queued cancel: hold dispatch, queue a blocker and the victim, cancel
+  // the victim while it is still queued.
+  sm.HoldDispatch();
   auto blocker = sm.Submit(HeavyOlapQuery());
   ASSERT_TRUE(blocker.ok());
   auto victim = sm.Submit(DeliveryQuery(1, 1, 6));
   ASSERT_TRUE(victim.ok());
   (*victim)->Cancel();
+  sm.ReleaseDispatch();
   EXPECT_EQ((*victim)->Await().status.code(), StatusCode::kCancelled);
   EXPECT_TRUE((*blocker)->Await().status.ok());
   sm.Drain();

@@ -104,8 +104,9 @@ TEST(SessionTest, AdmissionQueueBoundRejectsOverflow) {
   so.queue_capacity = 4;
   SessionManager& sm = table->EnableServing(so);
 
-  // Flood far faster than one worker can drain: the bounded queue must shed
-  // the overflow with kResourceExhausted, before issuing a ticket.
+  // Flood with dispatch held: the bounded queue must shed the overflow with
+  // kResourceExhausted, before issuing a ticket.
+  sm.HoldDispatch();
   constexpr size_t kBurst = 200;
   std::vector<SessionHandle> admitted;
   size_t rejected = 0;
@@ -118,9 +119,11 @@ TEST(SessionTest, AdmissionQueueBoundRejectsOverflow) {
       ++rejected;
     }
   }
-  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(admitted.size(), so.queue_capacity);
+  EXPECT_EQ(rejected, kBurst - so.queue_capacity);
   // Tickets are only issued to admitted queries.
   EXPECT_EQ(sm.tickets_issued(), admitted.size());
+  sm.ReleaseDispatch();
 
   for (const SessionHandle& s : admitted) {
     EXPECT_TRUE(s->Await().status.ok());
@@ -158,10 +161,9 @@ TEST(SessionTest, EdfDispatchOrdersByClassThenDeadline) {
   so.max_sessions = 1;  // single worker => dispatch order is observable
   SessionManager& sm = table->EnableServing(so);
 
-  // Occupy the only worker so the next submissions pile up in the queue.
-  auto blocker = sm.Submit(HeavyOlapQuery());
-  ASSERT_TRUE(blocker.ok());
-
+  // Hold dispatch so every submission below is queued before the worker
+  // picks any of them.
+  sm.HoldDispatch();
   const uint64_t now = SessionManager::NowNs();
   const uint64_t far = now + 60ull * 1000 * 1000 * 1000;
   SubmitOptions olap_late;
@@ -179,9 +181,9 @@ TEST(SessionTest, EdfDispatchOrdersByClassThenDeadline) {
   auto b = sm.Submit(ChQuery19(2, 1, 500, 1, 5), olap_soon);
   auto c = sm.Submit(DeliveryQuery(1, 1, 4), oltp);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  // The blocker must still be running for the order to be meaningful; it
-  // scans the whole evicted table, submissions above take microseconds.
-  EXPECT_FALSE((*blocker)->Done());
+  EXPECT_EQ(sm.queued(), 3u);
+  EXPECT_FALSE((*a)->Done() || (*b)->Done() || (*c)->Done());
+  sm.ReleaseDispatch();
 
   EXPECT_TRUE((*a)->Await().status.ok());
   EXPECT_TRUE((*b)->Await().status.ok());
@@ -200,11 +202,14 @@ TEST(SessionTest, CancelWhileQueuedNeverExecutes) {
   SessionManager& sm = table->EnableServing(so);
 
   const size_t executions_before = table->plan_cache().total_executions();
+  // Hold dispatch so the victim is still queued when it is cancelled.
+  sm.HoldDispatch();
   auto blocker = sm.Submit(HeavyOlapQuery());
   ASSERT_TRUE(blocker.ok());
   auto victim = sm.Submit(DeliveryQuery(1, 1, 6));
   ASSERT_TRUE(victim.ok());
   (*victim)->Cancel();
+  sm.ReleaseDispatch();
 
   QueryResult r = (*victim)->Await();
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled);

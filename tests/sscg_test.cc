@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/random.h"
+#include "storage/zone_map.h"
 
 namespace hytap {
 namespace {
@@ -161,6 +165,141 @@ TEST_F(SscgTest, RawAccessMatchesTimedAccess) {
     EXPECT_EQ(sscg.RawValue(r, 0, store_), Value(int32_t(r)));
     EXPECT_EQ(sscg.RawRow(r, store_), rows[r]);
   }
+}
+
+/// One member slot of every type, with the values numeric range filters
+/// trip over: type extremes, NaN, -0.0/+0.0 and infinities.
+class SscgTypedPredicateTest : public SscgTest {
+ protected:
+  static Schema TypedSchema() {
+    Schema schema;
+    schema.push_back({"i32", DataType::kInt32, 0});
+    schema.push_back({"i64", DataType::kInt64, 0});
+    schema.push_back({"f32", DataType::kFloat, 0});
+    schema.push_back({"f64", DataType::kDouble, 0});
+    schema.push_back({"str", DataType::kString, 8});
+    return schema;
+  }
+
+  /// Bound values per slot; every (null | value) x (null | value) pair is
+  /// tried, so lo > hi, NaN bounds and ±0.0 bounds all occur.
+  static std::vector<Value> Specials(size_t slot) {
+    constexpr float kFloatNan = std::numeric_limits<float>::quiet_NaN();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    switch (slot) {
+      case 0:
+        return {Value(std::numeric_limits<int32_t>::min()),
+                Value(std::numeric_limits<int32_t>::max()), Value(int32_t{-7}),
+                Value(int32_t{0}), Value(int32_t{40})};
+      case 1:
+        return {Value(std::numeric_limits<int64_t>::min()),
+                Value(std::numeric_limits<int64_t>::max()), Value(int64_t{-7}),
+                Value(int64_t{0}), Value(int64_t{1} << 40)};
+      case 2:
+        return {Value(kFloatNan), Value(-0.0f), Value(0.0f),
+                Value(float(-kInf)), Value(float(kInf)), Value(-2.5f),
+                Value(30.0f)};
+      case 3:
+        return {Value(kNan), Value(-0.0), Value(0.0), Value(-kInf),
+                Value(kInf), Value(-2.5), Value(30.0)};
+      default:
+        return {Value("a"), Value("m"), Value("zz"), Value("")};
+    }
+  }
+
+  /// Rows mixing the specials (NaN included) with spread values over
+  /// several pages. The first page holds spread values and NaN only, so the
+  /// page synopsis prunes it for bounds past the spread.
+  static std::vector<Row> TypedRows(size_t n, size_t rows_per_page) {
+    std::vector<std::vector<Value>> specials;
+    for (size_t slot = 0; slot < 5; ++slot) specials.push_back(Specials(slot));
+    Rng rng(11);
+    std::vector<Row> rows;
+    for (size_t r = 0; r < n; ++r) {
+      Row row;
+      for (size_t slot = 0; slot < 5; ++slot) {
+        if (r < rows_per_page) {
+          if ((slot == 2 || slot == 3) && rng.NextBounded(3) == 0) {
+            row.push_back(specials[slot][0]);  // NaN
+            continue;
+          }
+        } else if (rng.NextBounded(3) == 0) {
+          row.push_back(specials[slot][rng.NextBounded(specials[slot].size())]);
+          continue;
+        }
+        const int64_t x = int64_t(rng.NextBounded(100)) - 50;
+        switch (slot) {
+          case 0: row.push_back(Value(int32_t(x))); break;
+          case 1: row.push_back(Value(x * 1000003)); break;
+          case 2: row.push_back(Value(float(x) * 0.75f)); break;
+          case 3: row.push_back(Value(double(x) * 0.75)); break;
+          default: row.push_back(Value(std::string(1, char('a' + x % 26))));
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+  /// InRange's contract: !(v < lo) && !(hi < v), null = unbounded.
+  static bool Reference(const Value& v, const Value* lo, const Value* hi) {
+    return (lo == nullptr || !(v < *lo)) && (hi == nullptr || !(*hi < v));
+  }
+
+  void CheckAllBounds() {
+    const RowLayout layout(TypedSchema(), {0, 1, 2, 3, 4});
+    const size_t n = 700;  // 40-byte rows: 102 per page, 7 pages
+    const Sscg sscg(layout, TypedRows(n, layout.rows_per_page()), &store_);
+    PositionList candidates;
+    for (RowId r = 0; r < n; r += 3) candidates.push_back(r);
+    for (size_t slot = 0; slot < 5; ++slot) {
+      const std::vector<Value> specials = Specials(slot);
+      std::vector<const Value*> bounds = {nullptr};
+      for (const Value& v : specials) bounds.push_back(&v);
+      for (const Value* lo : bounds) {
+        for (const Value* hi : bounds) {
+          PositionList scan_ref, probe_ref;
+          for (RowId r = 0; r < n; ++r) {
+            const Value v = layout.DeserializeSlot(
+                store_.RawPage(sscg.page_ids()[layout.PageOf(r)]).data() +
+                    layout.OffsetInPage(r),
+                slot);
+            if (!Reference(v, lo, hi)) continue;
+            scan_ref.push_back(r);
+            if (r % 3 == 0) probe_ref.push_back(r);
+          }
+          const std::string where =
+              "slot=" + std::to_string(slot) +
+              " lo=" + (lo ? lo->ToString() : "null") +
+              " hi=" + (hi ? hi->ToString() : "null");
+          PositionList scan, probe;
+          IoStats io;
+          ASSERT_TRUE(
+              sscg.ScanSlot(slot, lo, hi, &buffers_, 2, &scan, &io).ok());
+          EXPECT_EQ(scan, scan_ref) << where;
+          ASSERT_TRUE(sscg.ProbeSlot(slot, lo, hi, candidates, &buffers_, 1,
+                                     &probe, &io)
+                          .ok());
+          EXPECT_EQ(probe, probe_ref) << where;
+        }
+      }
+    }
+  }
+};
+
+TEST_F(SscgTypedPredicateTest, MatchesBoxedReferenceWithZoneMaps) {
+  const bool zone_maps = ZoneMapsEnabled();
+  SetZoneMapsEnabled(true);
+  CheckAllBounds();
+  SetZoneMapsEnabled(zone_maps);
+}
+
+TEST_F(SscgTypedPredicateTest, MatchesBoxedReferenceWithoutZoneMaps) {
+  const bool zone_maps = ZoneMapsEnabled();
+  SetZoneMapsEnabled(false);
+  CheckAllBounds();
+  SetZoneMapsEnabled(zone_maps);
 }
 
 TEST_F(SscgTest, WallTimeDividesAcrossThreads) {
