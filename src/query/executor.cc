@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <optional>
+#include <string>
+#include <type_traits>
+#include <variant>
 
 #include "common/assert.h"
 #include "common/metrics.h"
@@ -519,7 +522,10 @@ void QueryExecutor::ExecuteDelta(const Transaction& txn, const Query& query,
 
 namespace {
 
-double NumericAsDouble(const Value& v) {
+/// Positions between stop-token polls of the tuple accounting pass.
+constexpr size_t kAccountPollRows = 4096;
+
+double SumInput(const Value& v) {
   switch (v.type()) {
     case DataType::kInt32:
       return double(v.AsInt32());
@@ -530,10 +536,69 @@ double NumericAsDouble(const Value& v) {
     case DataType::kDouble:
       return v.AsDouble();
     case DataType::kString:
-      HYTAP_UNREACHABLE("SUM over a string column");
+      break;
+  }
+  HYTAP_UNREACHABLE("SUM over a string column");
+}
+
+template <typename T>
+double SumInput(const T& v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return double(v);
+  } else {
+    HYTAP_UNREACHABLE("SUM over a string column");
+  }
+}
+
+/// Folds a SUM/MIN/MAX aggregate over `n` inputs in position order
+/// (`input(i)` is the i-th): the serial order keeps floating-point sums and
+/// min/max tie-breaks (the first extreme wins; NaN never replaces) exactly
+/// those of a row-at-a-time fold.
+template <typename T, typename Input>
+Value Fold(Aggregate::Kind kind, size_t n, Input input) {
+  if (kind == Aggregate::Kind::kSum) {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) sum += SumInput(input(i));
+    return Value(sum);
+  }
+  if (n == 0) return Value();
+  T best = input(0);
+  for (size_t i = 1; i < n; ++i) {
+    const T& v = input(i);
+    if (kind == Aggregate::Kind::kMin ? v < best : best < v) best = v;
+  }
+  return Value(best);
+}
+
+/// A non-projected aggregate input in position order, unboxed to the
+/// column's type. Materialize workers fill their morsels' index ranges; the
+/// fold reads it serially.
+using TypedInput = std::variant<std::vector<int32_t>, std::vector<int64_t>,
+                                std::vector<float>, std::vector<double>,
+                                std::vector<std::string>>;
+
+TypedInput MakeTypedInput(DataType type, size_t n) {
+  switch (type) {
+    case DataType::kInt32:
+      return std::vector<int32_t>(n);
+    case DataType::kInt64:
+      return std::vector<int64_t>(n);
+    case DataType::kFloat:
+      return std::vector<float>(n);
+    case DataType::kDouble:
+      return std::vector<double>(n);
+    case DataType::kString:
+      return std::vector<std::string>(n);
   }
   HYTAP_UNREACHABLE("invalid DataType");
 }
+
+/// Where a fetch column's main-partition cells live, resolved once per
+/// query: an MRC, or (mrc == null) a slot of the SSCG.
+struct MainSource {
+  const AbstractColumn* mrc = nullptr;
+  size_t slot = 0;
+};
 
 }  // namespace
 
@@ -572,139 +637,146 @@ Status QueryExecutor::Materialize(const Query& query, const ExecOptions& opts,
       aggregate_slot[a] = size_t(it - fetch_cols.begin());
     }
   }
+  const size_t projected = query.projections.size();
 
-  bool any_sscg = false;
-  for (ColumnId c : fetch_cols) {
-    any_sscg |= table_->location(c) == ColumnLocation::kSecondary;
+  const Sscg* sscg = table_->sscg();
+  std::vector<MainSource> sources(fetch_cols.size());
+  bool any_sscg = false, projects_sscg = false;
+  size_t mrc_fetches = 0;
+  for (size_t p = 0; p < fetch_cols.size(); ++p) {
+    const ColumnId c = fetch_cols[p];
+    if (table_->location(c) == ColumnLocation::kDram) {
+      sources[p].mrc = table_->mrc(c);
+      ++mrc_fetches;
+    } else {
+      HYTAP_ASSERT(sscg != nullptr, "SSCG projection without SSCG");
+      sources[p].slot = static_cast<size_t>(sscg->layout().SlotOf(c));
+      any_sscg = true;
+      projects_sscg |= p < projected;
+    }
   }
 
+  // Positions list the main rows, then the delta rows.
   const PositionList& positions = result->positions;
-  const Sscg* sscg = table_->sscg();
+  const size_t main_count = size_t(
+      std::partition_point(positions.begin(), positions.end(),
+                           [&](RowId row) { return row < main_rows; }) -
+      positions.begin());
 
   // Device/cache accounting pass, single-threaded and in position order:
-  // fetches each qualifying tuple's group page through the buffer manager
-  // exactly as the serial reconstruction did, so hit/miss sequences, the
-  // device model's jitter draws, and the fault-injection schedule are
-  // identical for any worker count. A page failure aborts here, before any
-  // worker materializes a value — the first failing position wins
-  // deterministically.
+  // charges each qualifying main tuple's group page fetch exactly as a
+  // per-row FetchPage loop would (one fetch per same-page run, the rest as
+  // its repeat hits), so hit/miss sequences, the device model's jitter
+  // draws, and the fault-injection schedule are identical for any worker
+  // count. A page failure aborts here, before any worker materializes a
+  // value — the first failing position wins deterministically.
   if (any_sscg) {
-    HYTAP_ASSERT(sscg != nullptr, "SSCG projection without SSCG");
-    size_t batch = 0;
-    for (RowId row : positions) {
-      // Poll the stop token between accounting batches, never mid-batch:
-      // the abort point is a deterministic function of how far the pass got.
-      if ((batch++ & 4095u) == 0 && StopRequested(opts)) {
+    // Poll the stop token between accounting batches, never mid-batch: the
+    // abort point is a deterministic function of how far the pass got.
+    for (size_t begin = 0; begin < positions.size();
+         begin += kAccountPollRows) {
+      if (StopRequested(opts)) {
         return Status::Cancelled("query cancelled during tuple accounting");
       }
-      if (row < main_rows) {
-        Status status =
-            sscg->AccountTupleFetch(row, buffers, threads, &result->io);
-        if (!status.ok()) return status;
-      }
+      const size_t end = std::min(begin + kAccountPollRows, main_count);
+      if (begin >= end) continue;
+      Status status = sscg->AccountTupleFetches(
+          positions.data() + begin, end - begin, buffers, threads,
+          &result->io);
+      if (!status.ok()) return status;
     }
   }
   if (StopRequested(opts)) {
     return Status::Cancelled("query cancelled before the materialize pass");
   }
 
-  // Materialization pass: morsel-parallel over qualifying positions. SSCG
-  // attributes come from raw pages (already cached and accounted above);
-  // MRC/delta attributes cost fixed DRAM touches accumulated per worker and
-  // reduced below — sums of constants, so the total matches serial
-  // execution regardless of the morsel partition.
-  std::vector<Row> fetched_all(positions.size());
-  const size_t morsels =
-      ThreadPool::MorselCount(0, positions.size(), kMaterializeMorselRows);
-  std::vector<IoStats> worker_io(morsels);
-  std::vector<Status> worker_status(morsels);
+  // Materialization pass: morsel-parallel over qualifying positions, each
+  // row written once into its final Row and each non-projected aggregate
+  // input into its typed column. SSCG slots come from raw pages (already
+  // cached and accounted above); MRC cells cost two DRAM touches each
+  // (value vector + dictionary), charged per morsel as one product, and
+  // delta cells go through Table::GetValue — sums of constants, so the
+  // total matches serial execution regardless of the morsel partition.
+  const SecondaryStore* store = table_->store();
+  auto main_value = [&](size_t p, RowId row, const uint8_t* tuple) {
+    const MainSource& source = sources[p];
+    if (source.mrc != nullptr) return source.mrc->GetValue(row);
+    if (tuple == nullptr) tuple = sscg->RawTuple(row, *store);
+    return sscg->layout().DeserializeSlot(tuple, source.slot);
+  };
+  std::vector<Row>& rows = result->rows;
+  rows.resize(projected == 0 ? 0 : positions.size());
+  std::vector<TypedInput> inputs;
+  for (size_t p = projected; p < fetch_cols.size(); ++p) {
+    inputs.push_back(MakeTypedInput(table_->schema()[fetch_cols[p]].type,
+                                    positions.size()));
+  }
+  std::vector<IoStats> worker_io(
+      ThreadPool::MorselCount(0, positions.size(), kMaterializeMorselRows));
   ThreadPool::Global().ParallelFor(
       0, positions.size(), kMaterializeMorselRows, threads,
       [&](size_t m, size_t index_begin, size_t index_end) {
         IoStats& local_io = worker_io[m];
-        for (size_t i = index_begin; i < index_end; ++i) {
+        const size_t main_end = std::clamp(main_count, index_begin, index_end);
+        local_io.dram_ns +=
+            2 * kDramTouchNs * mrc_fetches * (main_end - index_begin);
+        auto delta_value = [&](size_t p, RowId row) {
+          StatusOr<Value> value =
+              table_->GetValue(fetch_cols[p], row, threads, &local_io);
+          HYTAP_ASSERT(value.ok(), "delta cells are DRAM reads");
+          return std::move(*value);
+        };
+        for (size_t i = index_begin; projected > 0 && i < index_end; ++i) {
           const RowId row = positions[i];
-          Row fetched(fetch_cols.size());
-          if (row < main_rows && any_sscg) {
-            Row group = sscg->RawRow(row, *table_->store());
-            for (size_t p = 0; p < fetch_cols.size(); ++p) {
-              const int slot = sscg->layout().SlotOf(fetch_cols[p]);
-              if (slot >= 0) fetched[p] = group[static_cast<size_t>(slot)];
-            }
+          const bool in_main = i < main_end;
+          const uint8_t* tuple =
+              in_main && projects_sscg ? sscg->RawTuple(row, *store) : nullptr;
+          Row& out = rows[i];
+          out.reserve(projected);
+          for (size_t p = 0; p < projected; ++p) {
+            out.push_back(in_main ? main_value(p, row, tuple)
+                               : delta_value(p, row));
           }
-          for (size_t p = 0; p < fetch_cols.size(); ++p) {
-            const ColumnId c = fetch_cols[p];
-            if (row < main_rows &&
-                table_->location(c) == ColumnLocation::kSecondary) {
-              continue;  // already materialized from the group page
-            }
-            auto value = table_->GetValue(c, row, threads, &local_io);
-            // DRAM/delta reads cannot fail today (SSCG pages were fetched
-            // and verified in the accounting pass), but keep the morsel's
-            // first error rather than asserting: the reduction below picks
-            // the winner in morsel order, independent of worker count.
-            if (!value.ok()) {
-              worker_status[m] = value.status();
-              return;
-            }
-            fetched[p] = std::move(*value);
-          }
-          fetched_all[i] = std::move(fetched);
+        }
+        for (size_t e = 0; e < inputs.size(); ++e) {
+          const size_t p = projected + e;
+          std::visit(
+              [&](auto& column) {
+                using T = typename std::decay_t<decltype(column)>::value_type;
+                for (size_t i = index_begin; i < index_end; ++i) {
+                  const RowId row = positions[i];
+                  column[i] = (i < main_end ? main_value(p, row, nullptr)
+                                            : delta_value(p, row))
+                                  .template As<T>();
+                }
+              },
+              inputs[e]);
         }
       });
   for (const IoStats& local_io : worker_io) result->io += local_io;
-  for (const Status& status : worker_status) {
-    if (!status.ok()) return status;
-  }
 
-  // Aggregation and row assembly, single-threaded in position order: keeps
-  // floating-point accumulation order (and min/max tie-breaks) identical to
-  // the serial execution.
-  std::vector<double> sums(query.aggregates.size(), 0.0);
-  std::vector<std::optional<Value>> best(query.aggregates.size());
-  const bool keep_rows = !query.projections.empty();
-  if (keep_rows) result->rows.reserve(positions.size());
-  for (size_t i = 0; i < fetched_all.size(); ++i) {
-    Row& fetched = fetched_all[i];
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const Aggregate& agg = query.aggregates[a];
-      switch (agg.kind) {
-        case Aggregate::Kind::kCount:
-          break;  // computed from positions below
-        case Aggregate::Kind::kSum:
-          sums[a] += NumericAsDouble(fetched[aggregate_slot[a]]);
-          break;
-        case Aggregate::Kind::kMin: {
-          const Value& v = fetched[aggregate_slot[a]];
-          if (!best[a].has_value() || v < *best[a]) best[a] = v;
-          break;
-        }
-        case Aggregate::Kind::kMax: {
-          const Value& v = fetched[aggregate_slot[a]];
-          if (!best[a].has_value() || *best[a] < v) best[a] = v;
-          break;
-        }
-      }
-    }
-    if (keep_rows) {
-      fetched.resize(query.projections.size());
-      result->rows.push_back(std::move(fetched));
-    }
-  }
+  // Aggregation, single-threaded in position order: keeps floating-point
+  // accumulation order (and min/max tie-breaks) identical to the serial
+  // execution.
   result->aggregate_values.resize(query.aggregates.size());
   for (size_t a = 0; a < query.aggregates.size(); ++a) {
-    switch (query.aggregates[a].kind) {
-      case Aggregate::Kind::kCount:
-        result->aggregate_values[a] =
-            Value(int64_t(result->positions.size()));
-        break;
-      case Aggregate::Kind::kSum:
-        result->aggregate_values[a] = Value(sums[a]);
-        break;
-      case Aggregate::Kind::kMin:
-      case Aggregate::Kind::kMax:
-        result->aggregate_values[a] = best[a].value_or(Value());
-        break;
+    const Aggregate::Kind kind = query.aggregates[a].kind;
+    const size_t slot = aggregate_slot[a];
+    Value& value = result->aggregate_values[a];
+    if (kind == Aggregate::Kind::kCount) {
+      value = Value(int64_t(positions.size()));
+    } else if (slot < projected) {
+      value = Fold<Value>(kind, rows.size(), [&](size_t i) -> const Value& {
+        return rows[i][slot];
+      });
+    } else {
+      value = std::visit(
+          [&](const auto& column) {
+            using T = typename std::decay_t<decltype(column)>::value_type;
+            return Fold<T>(kind, column.size(),
+                           [&](size_t i) -> const T& { return column[i]; });
+          },
+          inputs[slot - projected]);
     }
   }
   return Status::Ok();

@@ -106,7 +106,10 @@ class QueryExecutor {
   /// Execute() with full per-session options (cancellation, private page
   /// cache, delta bound, observation hand-off). The executor itself is
   /// stateless across calls, so concurrent Execute() calls with disjoint
-  /// ExecOptions are safe.
+  /// ExecOptions are safe as long as each has its own page cache
+  /// (`buffers`), as serving sessions do: the tuple accounting pass charges
+  /// a page's repeat hits right after fetching it and asserts that no other
+  /// fetch evicted it in between.
   QueryResult Execute(const Transaction& txn, const Query& query,
                       const ExecOptions& opts) const;
 

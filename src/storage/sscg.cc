@@ -173,36 +173,61 @@ Sscg::Sscg(RowLayout layout, const std::vector<Row>& rows,
   }
 }
 
-StatusOr<const SecondaryStore::Page*> Sscg::FetchRowPage(
-    RowId row, BufferManager* buffers, AccessPattern pattern,
-    uint32_t queue_depth, IoStats* io) const {
+StatusOr<const uint8_t*> Sscg::FetchTuple(RowId row, BufferManager* buffers,
+                                          uint32_t queue_depth,
+                                          IoStats* io) const {
   HYTAP_ASSERT(row < row_count_, "SSCG row out of range");
-  const PageId local = layout_.PageOf(row);
-  const PageId global = page_ids_[local];
-  auto fetch = buffers->FetchPage(global, pattern, queue_depth);
+  const PageId global = page_ids_[layout_.PageOf(row)];
+  auto fetch = buffers->FetchPage(global, AccessPattern::kRandom, queue_depth);
   if (!fetch.ok()) {
     AccountFetchError(global, fetch.status(), buffers, io);
     return fetch.status();
   }
   AccountFetch(*fetch, io);
-  return fetch->page;
+  return fetch->page->data() + layout_.OffsetInPage(row);
 }
 
 StatusOr<Row> Sscg::ReconstructTuple(RowId row, BufferManager* buffers,
                                      uint32_t queue_depth, IoStats* io) const {
-  auto page =
-      FetchRowPage(row, buffers, AccessPattern::kRandom, queue_depth, io);
-  if (!page.ok()) return page.status();
-  return layout_.DeserializeRow((*page)->data() + layout_.OffsetInPage(row));
+  auto tuple = FetchTuple(row, buffers, queue_depth, io);
+  if (!tuple.ok()) return tuple.status();
+  return layout_.DeserializeRow(*tuple);
 }
 
 StatusOr<Value> Sscg::ProbeValue(RowId row, size_t slot, BufferManager* buffers,
                                  uint32_t queue_depth, IoStats* io) const {
-  auto page =
-      FetchRowPage(row, buffers, AccessPattern::kRandom, queue_depth, io);
-  if (!page.ok()) return page.status();
-  return layout_.DeserializeSlot((*page)->data() + layout_.OffsetInPage(row),
-                                 slot);
+  auto tuple = FetchTuple(row, buffers, queue_depth, io);
+  if (!tuple.ok()) return tuple.status();
+  return layout_.DeserializeSlot(*tuple, slot);
+}
+
+Status Sscg::AccountTupleFetches(const RowId* rows, size_t n,
+                                 BufferManager* buffers, uint32_t queue_depth,
+                                 IoStats* io) const {
+  const size_t rows_per_page = layout_.rows_per_page();
+  for (size_t i = 0; i < n;) {
+    // The run: rows[i] and every following row on the same page. A per-row
+    // fetch of those rows would hit the page the first fetch just made
+    // resident, with no other fetch in between to evict it.
+    const RowId first = rows[i] - rows[i] % rows_per_page;
+    size_t end = i + 1;
+    while (end < n && rows[end] >= first && rows[end] - first < rows_per_page) {
+      ++end;
+    }
+    auto tuple = FetchTuple(rows[i], buffers, queue_depth, io);
+    if (!tuple.ok()) return tuple.status();
+    const uint64_t repeats = end - i - 1;
+    if (repeats > 0) {
+      const uint64_t ns =
+          buffers->CountRepeatHits(page_ids_[layout_.PageOf(first)], repeats);
+      if (io != nullptr) {
+        io->dram_ns += ns;
+        io->cache_hits += repeats;
+      }
+    }
+    i = end;
+  }
+  return Status::Ok();
 }
 
 Status Sscg::ScanSlot(size_t slot, const Value* lo, const Value* hi,
@@ -310,24 +335,9 @@ Status Sscg::ScanSlotPages(size_t slot, const Value* lo, const Value* hi,
   return Status::Ok();
 }
 
-Status Sscg::AccountTupleFetch(RowId row, BufferManager* buffers,
-                               uint32_t queue_depth, IoStats* io) const {
-  return FetchRowPage(row, buffers, AccessPattern::kRandom, queue_depth, io)
-      .status();
-}
-
 Value Sscg::RawValue(RowId row, size_t slot,
                      const SecondaryStore& store) const {
-  HYTAP_ASSERT(row < row_count_, "SSCG row out of range");
-  const SecondaryStore::Page& page = store.RawPage(page_ids_[layout_.PageOf(row)]);
-  return layout_.DeserializeSlot(page.data() + layout_.OffsetInPage(row),
-                                 slot);
-}
-
-Row Sscg::RawRow(RowId row, const SecondaryStore& store) const {
-  HYTAP_ASSERT(row < row_count_, "SSCG row out of range");
-  const SecondaryStore::Page& page = store.RawPage(page_ids_[layout_.PageOf(row)]);
-  return layout_.DeserializeRow(page.data() + layout_.OffsetInPage(row));
+  return layout_.DeserializeSlot(RawTuple(row, store), slot);
 }
 
 Status Sscg::ProbeSlot(size_t slot, const Value* lo, const Value* hi,
@@ -335,26 +345,25 @@ Status Sscg::ProbeSlot(size_t slot, const Value* lo, const Value* hi,
                        uint32_t queue_depth, PositionList* out,
                        IoStats* io) const {
   SscgMetrics::Get().probe_rows->Add(in.size());
-  PositionList survivors(in.size());
-  size_t kept = 0;
-  Status status = Status::Ok();
+  // One accounted fetch per candidate; on a page error `out` is untouched:
+  // no partial results. The filter then reads the fetched (and verified)
+  // bytes from the raw store, as the scan's filter pass does.
+  Status status =
+      AccountTupleFetches(in.data(), in.size(), buffers, queue_depth, io);
+  if (!status.ok()) return status;
+  const SecondaryStore& store = *buffers->store();
   const size_t slot_offset = layout_.slot_offset(slot);
+  const size_t base = out->size();
+  out->resize(base + in.size());
+  RowId* dst = out->data() + base;
+  size_t kept = 0;
   WithSlotRange(layout_, slot, lo, hi, [&](const auto& range) {
     for (RowId row : in) {
-      // One fetch (and its accounting) per candidate, as ProbeValue does.
-      auto page =
-          FetchRowPage(row, buffers, AccessPattern::kRandom, queue_depth, io);
-      if (!page.ok()) {
-        status = page.status();  // `out` untouched: no partial results
-        return;
-      }
-      survivors[kept] = row;
-      kept += range.Contains((*page)->data() + layout_.OffsetInPage(row) +
-                             slot_offset);
+      dst[kept] = row;
+      kept += range.Contains(RawTuple(row, store) + slot_offset);
     }
   });
-  if (!status.ok()) return status;
-  out->insert(out->end(), survivors.begin(), survivors.begin() + kept);
+  out->resize(base + kept);
   return Status::Ok();
 }
 

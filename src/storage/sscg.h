@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/status.h"
 #include "storage/row_layout.h"
 #include "storage/slot_synopsis.h"
@@ -92,6 +93,13 @@ class Sscg {
   /// Total bytes occupied on secondary storage.
   size_t StorageBytes() const { return page_ids_.size() * kPageSize; }
 
+  /// Fetches the page of tuple `row` through `buffers` (random access, one
+  /// accounted fetch) and returns a pointer to the row's bytes inside the
+  /// cached frame — valid until the next fetch through `buffers` — or the
+  /// page-read error (kUnavailable / kDataLoss).
+  StatusOr<const uint8_t*> FetchTuple(RowId row, BufferManager* buffers,
+                                      uint32_t queue_depth, IoStats* io) const;
+
   /// Reconstructs the group's slice of tuple `row` via `buffers` (random
   /// access pattern). Returns the values in member order, or the page-read
   /// error (kUnavailable / kDataLoss).
@@ -102,13 +110,19 @@ class Sscg {
   StatusOr<Value> ProbeValue(RowId row, size_t slot, BufferManager* buffers,
                              uint32_t queue_depth, IoStats* io) const;
 
-  /// Performs and accounts the buffer-manager page fetch of tuple `row`
-  /// exactly as ReconstructTuple would, without materializing values. The
-  /// executor uses this to keep simulated-IO accounting in deterministic
-  /// position order while the materialization itself runs on worker
-  /// threads against raw pages.
-  Status AccountTupleFetch(RowId row, BufferManager* buffers,
-                           uint32_t queue_depth, IoStats* io) const;
+  /// Performs and accounts the buffer-manager page fetches of the `n` main
+  /// partition tuples `rows[0, n)` exactly as `n` FetchTuple calls in that
+  /// order would, without touching their bytes. Each maximal run of
+  /// consecutive rows on one page costs one FetchPage; the rest of the run
+  /// are the hits those fetches would be, charged through
+  /// BufferManager::CountRepeatHits. Hit/miss sequence, CLOCK state, fault
+  /// draws and `io` therefore match the per-row loop bit for bit. Stops at
+  /// the first failing fetch and returns its error; the IO accrued before it
+  /// stays in `io`. The executor and ProbeSlot read the bytes afterwards
+  /// via RawTuple.
+  Status AccountTupleFetches(const RowId* rows, size_t n,
+                             BufferManager* buffers, uint32_t queue_depth,
+                             IoStats* io) const;
 
   /// Sequentially scans member slot `slot`, appending qualifying rows
   /// ([lo, hi] closed interval, null = unbounded) to `out`. Reads every page
@@ -134,10 +148,11 @@ class Sscg {
                        PositionList* out, IoStats* io) const;
 
   /// Probes member slot `slot` for the candidate positions `in` (ascending),
-  /// appending survivors to `out`. Every candidate is one buffer-manager
-  /// fetch, charged as such: consecutive candidates on the same page each
-  /// pay the page hit. Numeric slots compare raw slot bytes against bounds
-  /// unboxed once per call. On a page error `out` is left untouched.
+  /// appending survivors to `out`. Every candidate is charged as one
+  /// buffer-manager fetch (AccountTupleFetches): consecutive candidates on
+  /// the same page each pay the page hit. Numeric slots compare raw slot
+  /// bytes against bounds unboxed once per call. On a page error `out` is
+  /// left untouched.
   Status ProbeSlot(size_t slot, const Value* lo, const Value* hi,
                    const PositionList& in, BufferManager* buffers,
                    uint32_t queue_depth, PositionList* out, IoStats* io) const;
@@ -145,7 +160,13 @@ class Sscg {
   /// Timing-free raw access for migration/verification: reads directly from
   /// the backing store, bypassing the buffer manager and device model.
   Value RawValue(RowId row, size_t slot, const SecondaryStore& store) const;
-  Row RawRow(RowId row, const SecondaryStore& store) const;
+  /// Pointer to tuple `row`'s bytes in the store's raw page (deserialize
+  /// with layout().DeserializeSlot / DeserializeRow).
+  const uint8_t* RawTuple(RowId row, const SecondaryStore& store) const {
+    HYTAP_ASSERT(row < row_count_, "SSCG row out of range");
+    return store.RawPage(page_ids_[layout_.PageOf(row)]).data() +
+           layout_.OffsetInPage(row);
+  }
 
   /// Store page ids backing this group (migration verify-after-write).
   const std::vector<PageId>& page_ids() const { return page_ids_; }
@@ -155,12 +176,6 @@ class Sscg {
   const SlotSynopsis& synopsis() const { return synopsis_; }
 
  private:
-  StatusOr<const SecondaryStore::Page*> FetchRowPage(RowId row,
-                                                     BufferManager* buffers,
-                                                     AccessPattern pattern,
-                                                     uint32_t queue_depth,
-                                                     IoStats* io) const;
-
   RowLayout layout_;
   SlotSynopsis synopsis_;
   std::vector<PageId> page_ids_;

@@ -117,11 +117,12 @@ StatusOr<Row> Table::ReconstructRow(RowId row, uint32_t queue_depth,
   }
   // SSCG part: one page access covers all member attributes.
   if (sscg_ != nullptr && sscg_->layout().member_count() > 0) {
-    auto group = sscg_->ReconstructTuple(row, buffers_, queue_depth, io);
-    if (!group.ok()) return group.status();
-    const auto& members = sscg_->layout().member_columns();
+    auto tuple = sscg_->FetchTuple(row, buffers_, queue_depth, io);
+    if (!tuple.ok()) return tuple.status();
+    const RowLayout& layout = sscg_->layout();
+    const auto& members = layout.member_columns();
     for (size_t slot = 0; slot < members.size(); ++slot) {
-      result[members[slot]] = std::move((*group)[slot]);
+      result[members[slot]] = layout.DeserializeSlot(*tuple, slot);
     }
   }
   // MRC part: two DRAM touches per attribute (value vector + dictionary).

@@ -46,8 +46,7 @@ StatusOr<BufferManager::Fetch> BufferManager::FetchPage(
     frame.referenced = true;
     ++stats_.hits;
     BufferMetrics::Get().hits->Add();
-    // A cached page costs roughly one DRAM page touch.
-    return Fetch{&frame.data, 200, /*hit=*/true};
+    return Fetch{&frame.data, kCacheHitNs, /*hit=*/true};
   }
   ++stats_.misses;
   BufferMetrics::Get().misses->Add();
@@ -85,6 +84,17 @@ StatusOr<BufferManager::Fetch> BufferManager::FetchPage(
   frame_of_[id] = victim;
   return Fetch{&frame.data, read->latency_ns, /*hit=*/false, read->retries,
                report.checksum_failures, read->retry_ns};
+}
+
+uint64_t BufferManager::CountRepeatHits(PageId id, uint64_t n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = frame_of_.find(id);
+  HYTAP_ASSERT(it != frame_of_.end(), "CountRepeatHits: page not resident");
+  if (n == 0) return 0;
+  frames_[it->second].referenced = true;
+  stats_.hits += n;
+  BufferMetrics::Get().hits->Add(n);
+  return n * kCacheHitNs;
 }
 
 void BufferManager::Pin(PageId id) {

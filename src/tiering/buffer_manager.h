@@ -12,6 +12,9 @@
 
 namespace hytap {
 
+/// Simulated cost of a buffer-manager hit: roughly one DRAM page touch.
+inline constexpr uint64_t kCacheHitNs = 200;
+
 /// Statistics exposed by the buffer manager.
 struct BufferStats {
   uint64_t hits = 0;
@@ -73,6 +76,15 @@ class BufferManager {
   /// fault schedule — stays deterministic.
   StatusOr<Fetch> FetchPage(PageId id, AccessPattern pattern,
                             uint32_t queue_depth = 1);
+
+  /// Charges `n` further hits on the resident page `id` under one lock,
+  /// leaving the cache exactly as `n` FetchPage(id) hits would: `hits` and
+  /// `hytap_buffer_hits_total` grow by `n` and the CLOCK reference bit is
+  /// set (a hit never moves the hand or evicts). Returns the hits' summed
+  /// latency, `n * kCacheHitNs`. The caller must know `id` is resident —
+  /// it just fetched the page and nothing fetched through this cache since;
+  /// a non-resident `id` asserts.
+  uint64_t CountRepeatHits(PageId id, uint64_t n);
 
   /// Pins `id` (must be resident after a FetchPage); pinned pages are never
   /// evicted. Pins nest.

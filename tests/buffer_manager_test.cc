@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "common/metrics.h"
+
 namespace hytap {
 namespace {
 
@@ -152,6 +154,66 @@ TEST_F(BufferManagerTest, ContentsMatchStore) {
     EXPECT_EQ(0, std::memcmp(fetch->page->data(), store_.RawPage(id).data(),
                              kPageSize));
   }
+}
+
+// CountRepeatHits(id, n) must leave a cache exactly as n FetchPage(id) hits
+// do: the same stats, hit counter and reference bit, and therefore the same
+// next CLOCK victim.
+TEST_F(BufferManagerTest, CountRepeatHitsMatchesRepeatedFetchHits) {
+  Counter* hits_total =
+      MetricsRegistry::Global().GetCounter("hytap_buffer_hits_total");
+  const bool metrics_were_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  for (uint64_t n : {0u, 1u, 5u}) {
+    // Afterwards pages 1 and 2 sit unreferenced in frames 1 and 2, page 3
+    // referenced in frame 0, and the hand points at page 1's frame.
+    auto warm = [](BufferManager& bm) {
+      for (PageId id : {0, 1, 2, 3}) bm.FetchPage(id, AccessPattern::kRandom);
+    };
+    BufferManager fetched(&store_, 3);
+    BufferManager counted(&store_, 3);
+    warm(fetched);
+    warm(counted);
+
+    const uint64_t fetched_before = hits_total->Value();
+    uint64_t fetched_ns = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+      auto hit = fetched.FetchPage(1, AccessPattern::kRandom);
+      ASSERT_TRUE(hit.ok());
+      ASSERT_TRUE(hit->hit);
+      fetched_ns += hit->latency_ns;
+    }
+    const uint64_t fetched_hits = hits_total->Value() - fetched_before;
+    const uint64_t counted_before = hits_total->Value();
+    EXPECT_EQ(counted.CountRepeatHits(1, n), fetched_ns) << n;
+    EXPECT_EQ(fetched_ns, n * kCacheHitNs) << n;
+    EXPECT_EQ(hits_total->Value() - counted_before, fetched_hits) << n;
+    EXPECT_EQ(fetched_hits, n) << n;
+
+    const BufferStats a = fetched.stats();
+    const BufferStats b = counted.stats();
+    EXPECT_EQ(a.hits, b.hits) << n;
+    EXPECT_EQ(a.misses, b.misses) << n;
+    EXPECT_EQ(a.evictions, b.evictions) << n;
+
+    // The next miss evicts the same victim in both caches: page 2 when the
+    // hits set page 1's reference bit, page 1 itself when n == 0.
+    fetched.FetchPage(7, AccessPattern::kRandom);
+    counted.FetchPage(7, AccessPattern::kRandom);
+    for (PageId id : {1, 2, 3, 7}) {
+      EXPECT_EQ(fetched.IsResident(id), counted.IsResident(id))
+          << "n=" << n << " page " << id;
+    }
+    EXPECT_EQ(counted.IsResident(1), n > 0) << n;
+    EXPECT_EQ(fetched.stats().evictions, counted.stats().evictions) << n;
+  }
+  SetMetricsEnabled(metrics_were_enabled);
+}
+
+TEST_F(BufferManagerTest, CountRepeatHitsOnAbsentPageAborts) {
+  BufferManager bm(&store_, 2);
+  bm.FetchPage(0, AccessPattern::kRandom);
+  EXPECT_DEATH(bm.CountRepeatHits(5, 1), "not resident");
 }
 
 TEST_F(BufferManagerTest, AllPinnedAborts) {

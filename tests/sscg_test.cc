@@ -163,7 +163,7 @@ TEST_F(SscgTest, RawAccessMatchesTimedAccess) {
   Sscg sscg(layout, rows, &store_);
   for (RowId r = 0; r < 100; r += 13) {
     EXPECT_EQ(sscg.RawValue(r, 0, store_), Value(int32_t(r)));
-    EXPECT_EQ(sscg.RawRow(r, store_), rows[r]);
+    EXPECT_EQ(layout.DeserializeRow(sscg.RawTuple(r, store_)), rows[r]);
   }
 }
 
