@@ -10,26 +10,11 @@
 #include <set>
 #include <tuple>
 
+#include "common/env.h"
 #include "common/metrics.h"
 
 namespace hytap {
 namespace {
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0 || std::strcmp(value, "OFF") == 0);
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<uint64_t>(parsed);
-}
 
 std::atomic<int> g_enabled{-1};  // -1 = unresolved, 0 = off, 1 = on
 
@@ -58,7 +43,7 @@ bool CanonicalLess(const FlightEvent& x, const FlightEvent& y) {
 bool FlightRecorderEnabled() {
   int state = g_enabled.load(std::memory_order_relaxed);
   if (state < 0) {
-    state = EnvBool("HYTAP_FLIGHT_RECORDER", true) ? 1 : 0;
+    state = EnvFlag("HYTAP_FLIGHT_RECORDER", true) ? 1 : 0;
     g_enabled.store(state, std::memory_order_relaxed);
   }
   return state == 1;
@@ -275,7 +260,7 @@ std::string FlightRecorder::Anomaly(AnomalyKind kind,
   if (!FlightRecorderEnabled()) return "";
   Record(FlightEventType::kAnomaly, static_cast<uint16_t>(kind), ticket,
          window, sim_ns, a, b);
-  if (!EnvBool("HYTAP_FLIGHT_DUMP", true)) return "";
+  if (!EnvFlag("HYTAP_FLIGHT_DUMP", true)) return "";
   uint64_t max_dumps = EnvU64("HYTAP_FLIGHT_MAX_DUMPS", 8);
   uint64_t index = impl_->dump_count.fetch_add(1, std::memory_order_relaxed);
   if (index >= max_dumps) return "";

@@ -19,7 +19,7 @@ namespace hytap {
 /// IoStats, and fault schedules are bit-identical whether the knob is on or
 /// off (`parallel_equivalence_test` asserts this).
 ///
-/// The master switch is `HYTAP_METRICS` ("off"/"0"/"false" disable; default
+/// The master switch is `HYTAP_METRICS` (an EnvFlag, common/env.h; default
 /// on). While disabled every update is a no-op behind one relaxed atomic
 /// load — the registry keeps its registrations but records nothing.
 

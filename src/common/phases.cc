@@ -1,20 +1,13 @@
 #include "common/phases.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.h"
 
 namespace hytap {
 namespace {
 
 std::atomic<int> g_enabled{-1};  // -1 = unresolved, 0 = off, 1 = on
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0 || std::strcmp(value, "OFF") == 0);
-}
 
 }  // namespace
 
@@ -37,7 +30,7 @@ const char* QueryPhaseName(QueryPhase phase) {
 bool PhaseAccountingEnabled() {
   int state = g_enabled.load(std::memory_order_relaxed);
   if (state < 0) {
-    state = EnvBool("HYTAP_PHASE_ACCOUNTING", true) ? 1 : 0;
+    state = EnvFlag("HYTAP_PHASE_ACCOUNTING", true) ? 1 : 0;
     g_enabled.store(state, std::memory_order_relaxed);
   }
   return state == 1;

@@ -29,8 +29,8 @@ namespace trace_internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace trace_internal
 
-/// Master switch, initialized from HYTAP_TRACE ("1"/"on"/"true" enable;
-/// default off — tracing allocates per query).
+/// Master switch, initialized from the HYTAP_TRACE flag (common/env.h
+/// grammar; default off — tracing allocates per query).
 inline bool TraceEnabled() {
   return trace_internal::g_enabled.load(std::memory_order_relaxed);
 }

@@ -2,59 +2,69 @@
 
 #include "common/assert.h"
 #include "selection/calibration.h"
-#include "selection/heuristics.h"
 
 namespace hytap {
 
+std::vector<uint8_t> CurrentPlacement(const Table& table) {
+  const std::vector<bool>& placement = table.placement();
+  return std::vector<uint8_t>(placement.begin(), placement.end());
+}
+
 Advisor::Advisor(AdvisorOptions options) : options_(std::move(options)) {}
+
+ScanCostParams Advisor::ParamsFor(const CostCalibrator* calibrator) const {
+  if (!options_.use_calibrated_params) return options_.cost_params;
+  HYTAP_ASSERT(calibrator != nullptr, "calibrated params need a calibrator");
+  return calibrator->Fitted();
+}
+
+PlacementPlan Advisor::Plan(const PlanRequest& request) const {
+  HYTAP_ASSERT(request.workload != nullptr, "plan needs a workload");
+  const Workload& workload = *request.workload;
+  PlacementPlan plan;
+  plan.params_used = ParamsFor(request.calibrator);
+  for (size_t c = 0; c < request.current.size(); ++c) {
+    if (request.current[c]) {
+      plan.current_dram_bytes += workload.column_sizes[c];
+    }
+  }
+  plan.budget_bytes = request.budget_bytes < 0.0 ? plan.current_dram_bytes
+                                                 : request.budget_bytes;
+
+  SelectionProblem problem;
+  problem.workload = &workload;
+  problem.params = plan.params_used;
+  problem.budget_bytes = plan.budget_bytes;
+  problem.current = request.current;
+  problem.beta = request.beta;
+  if (!options_.pinned_columns.empty() || !request.pinned.empty()) {
+    problem.pinned.assign(workload.column_count(), 0);
+    for (const std::vector<ColumnId>* pins :
+         {&options_.pinned_columns, &request.pinned}) {
+      for (ColumnId c : *pins) {
+        HYTAP_ASSERT(c < problem.pinned.size(), "pinned column out of range");
+        problem.pinned[c] = 1;
+      }
+    }
+  }
+  plan.result = SelectWithReallocation(problem, options_.solver);
+  return plan;
+}
 
 Recommendation Advisor::Recommend(const TieredTable& table,
                                   double budget_bytes) const {
   Recommendation rec;
   rec.workload = table.plan_cache().ToWorkload(table.table());
-  rec.params_used = options_.cost_params;
-  if (options_.use_calibrated_params && options_.calibrator != nullptr) {
-    rec.params_used = options_.calibrator->Fitted();
-  }
-
-  SelectionProblem problem;
-  problem.workload = &rec.workload;
-  problem.params = rec.params_used;
-  problem.budget_bytes = budget_bytes;
-  if (options_.beta > 0.0) {
-    problem.beta = options_.beta;
-    problem.current.resize(table.table().column_count());
-    for (size_t i = 0; i < problem.current.size(); ++i) {
-      problem.current[i] = table.table().placement()[i] ? 1 : 0;
-    }
-  }
-  if (!options_.pinned_columns.empty()) {
-    problem.pinned.assign(rec.workload.column_count(), 0);
-    for (ColumnId c : options_.pinned_columns) {
-      HYTAP_ASSERT(c < problem.pinned.size(), "pinned column out of range");
-      problem.pinned[c] = 1;
-    }
-  }
-
-  switch (options_.algorithm) {
-    case AdvisorAlgorithm::kExplicit:
-      rec.selection = SelectExplicit(problem, /*filling=*/true);
-      break;
-    case AdvisorAlgorithm::kIntegerOptimal:
-      rec.selection = SelectIntegerOptimal(problem);
-      break;
-    case AdvisorAlgorithm::kGreedyMarginal:
-      rec.selection = SelectGreedyMarginal(problem);
-      break;
-    case AdvisorAlgorithm::kPortfolio: {
-      SolverPortfolio portfolio(options_.portfolio);
-      PortfolioResult result = portfolio.Solve(problem);
-      rec.selection = std::move(result.selection);
-      rec.winner = std::move(result.winner);
-      rec.deadline_hit = result.deadline_hit;
-      break;
-    }
-  }
+  PlanRequest request;
+  request.workload = &rec.workload;
+  request.current = CurrentPlacement(table.table());
+  request.budget_bytes = budget_bytes;
+  request.calibrator = &table.calibrator();
+  PlacementPlan plan = Plan(request);
+  rec.params_used = plan.params_used;
+  rec.winner = std::move(plan.result.winner);
+  rec.deadline_hit = plan.result.deadline_hit;
+  rec.selection = std::move(plan.result.selection);
   rec.in_dram.assign(rec.selection.in_dram.begin(),
                      rec.selection.in_dram.end());
   return rec;

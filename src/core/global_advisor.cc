@@ -1,15 +1,27 @@
 #include "core/global_advisor.h"
 
+#include <utility>
+
 #include "common/assert.h"
 
 namespace hytap {
+
+GlobalAdvisor::GlobalAdvisor(ScanCostParams params) {
+  AdvisorOptions options;
+  options.cost_params = params;
+  planner_ = Advisor(std::move(options));
+}
 
 GlobalRecommendation GlobalAdvisor::Recommend(Database* db,
                                               double budget_bytes) const {
   HYTAP_ASSERT(db != nullptr, "GlobalAdvisor requires a database");
   GlobalRecommendation rec;
-  // Concatenate the per-table workloads into one joint column space.
+  // Concatenate the per-table workloads and placements into one joint
+  // column space.
   Workload& joint = rec.joint_workload;
+  PlanRequest request;
+  request.workload = &joint;
+  request.budget_bytes = budget_bytes;
   std::vector<std::pair<std::string, size_t>> table_offsets;
   for (Table* table : db->tables()) {
     const Workload local =
@@ -28,22 +40,12 @@ GlobalRecommendation GlobalAdvisor::Recommend(Database* db,
       for (uint32_t c : q.columns) shifted.columns.push_back(c + offset);
       joint.queries.push_back(std::move(shifted));
     }
+    const std::vector<uint8_t> current = CurrentPlacement(*table);
+    request.current.insert(request.current.end(), current.begin(),
+                           current.end());
   }
   joint.Check();
-
-  SelectionProblem problem;
-  problem.workload = &joint;
-  problem.params = options_.params;
-  problem.budget_bytes = budget_bytes;
-  if (options_.use_portfolio) {
-    SolverPortfolio portfolio(options_.portfolio);
-    PortfolioResult result = portfolio.Solve(problem);
-    rec.selection = std::move(result.selection);
-    rec.winner = std::move(result.winner);
-    rec.deadline_hit = result.deadline_hit;
-  } else {
-    rec.selection = SelectExplicit(problem);
-  }
+  rec.selection = std::move(planner_.Plan(request).result.selection);
 
   // Split the joint allocation back into per-table placements.
   for (size_t t = 0; t < table_offsets.size(); ++t) {

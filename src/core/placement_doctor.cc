@@ -62,16 +62,15 @@ PlacementDoctor::PlacementDoctor(DoctorOptions options)
     : options_(options) {}
 
 DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
+  const Advisor planner(options_.planner);
   DoctorReport report;
   const WorkloadMonitor& monitor = table.monitor();
   report.queries_observed = monitor.queries_observed();
   report.drift = monitor.Drift();
   report.fitted_params = table.calibrator().Fitted();
   report.calibration_samples = table.calibrator().sample_count();
-  report.calibrated = options_.use_calibrated_params;
-  report.params_used =
-      options_.use_calibrated_params ? report.fitted_params
-                                     : options_.cost_params;
+  report.calibrated = options_.planner.use_calibrated_params;
+  report.params_used = planner.ParamsFor(&table.calibrator());
 
   // Workload source: the monitor's recent windows when it saw queries
   // (observed frequencies + selectivities); otherwise fall back to the
@@ -88,50 +87,34 @@ DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
     workload = table.plan_cache().ToWorkload(table.table());
   }
 
-  const std::vector<bool>& placement = table.table().placement();
-  std::vector<uint8_t> current(placement.size());
-  for (size_t i = 0; i < placement.size(); ++i) {
-    current[i] = placement[i] ? 1 : 0;
-  }
-
+  DoctorMetrics& metrics = DoctorMetrics::Get();
+  metrics.diagnoses->Add();
+  metrics.windows_used->Set(int64_t(report.windows_used));
+  metrics.queries_observed->Set(int64_t(report.queries_observed));
+  metrics.drift_pct->Set(int64_t(report.drift * 100.0 + 0.5));
   if (workload.queries.empty() || workload.column_count() == 0) {
     // Nothing observed: a placement cannot regret against an empty
     // workload. Export and return a zero report.
-    DoctorMetrics& metrics = DoctorMetrics::Get();
-    metrics.diagnoses->Add();
     metrics.regret_pct_milli->Set(0);
     metrics.misplaced_columns->Set(0);
-    metrics.windows_used->Set(int64_t(report.windows_used));
-    metrics.queries_observed->Set(int64_t(report.queries_observed));
-    metrics.drift_pct->Set(int64_t(report.drift * 100.0 + 0.5));
     return report;
   }
 
-  CostModel model(workload, report.params_used);
-  report.current_cost = model.ScanCost(current);
-  report.current_dram_bytes = model.MemoryUsed(current);
-  report.all_dram_cost = model.AllDramCost();
-  report.budget_bytes = options_.budget_bytes < 0.0
-                            ? report.current_dram_bytes
-                            : options_.budget_bytes;
-
-  SelectionProblem problem;
-  problem.workload = &workload;
-  problem.params = report.params_used;
-  problem.budget_bytes = report.budget_bytes;
-  SelectionResult recommended;
-  if (options_.use_portfolio) {
-    SolverPortfolio portfolio(options_.portfolio);
-    PortfolioResult solved = portfolio.Solve(problem);
-    recommended = std::move(solved.selection);
-    report.solver_winner = std::move(solved.winner);
-    report.solver_gap = solved.gap;
-    report.solver_deadline_hit = solved.deadline_hit;
-  } else {
-    recommended = SelectExplicit(problem, true);
-  }
+  PlanRequest request;
+  request.workload = &workload;
+  request.current = CurrentPlacement(table.table());
+  request.budget_bytes = options_.budget_bytes;
+  request.calibrator = &table.calibrator();
+  const PlacementPlan plan = planner.Plan(request);
+  const SelectionResult& recommended = plan.result.selection;
+  report.budget_bytes = plan.budget_bytes;
+  report.current_dram_bytes = plan.current_dram_bytes;
+  report.current_cost = plan.result.current_cost;
   report.recommended_cost = recommended.scan_cost;
   report.recommended_dram_bytes = recommended.dram_bytes;
+  report.solver_winner = plan.result.winner;
+  report.solver_gap = plan.result.gap;
+  report.solver_deadline_hit = plan.result.deadline_hit;
   report.regret = report.current_cost - report.recommended_cost;
   report.regret_pct = report.recommended_cost > 0.0
                           ? 100.0 * report.regret / report.recommended_cost
@@ -139,11 +122,12 @@ DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
 
   // Misplaced columns ranked by their separable cost term a_i * |S_i|: the
   // scan-cost swing of moving the column to its recommended tier.
+  const CostModel model(workload, report.params_used);
+  report.all_dram_cost = model.AllDramCost();
   const std::vector<double>& s = model.S();
   for (ColumnId c = 0; c < workload.column_count(); ++c) {
-    const bool now = c < current.size() && current[c] != 0;
-    const bool want = c < recommended.in_dram.size() &&
-                      recommended.in_dram[c] != 0;
+    const bool now = request.current[c] != 0;
+    const bool want = recommended.in_dram[c] != 0;
     if (now == want) continue;
     MisplacedColumn column;
     column.column = c;
@@ -167,13 +151,8 @@ DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
     report.misplaced.resize(options_.top_k);
   }
 
-  DoctorMetrics& metrics = DoctorMetrics::Get();
-  metrics.diagnoses->Add();
   metrics.regret_pct_milli->Set(int64_t(report.regret_pct * 1000.0 + 0.5));
   metrics.misplaced_columns->Set(int64_t(total_misplaced));
-  metrics.windows_used->Set(int64_t(report.windows_used));
-  metrics.queries_observed->Set(int64_t(report.queries_observed));
-  metrics.drift_pct->Set(int64_t(report.drift * 100.0 + 0.5));
   return report;
 }
 

@@ -5,9 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/tiered_table.h"
-#include "selection/selectors.h"
-#include "solver/portfolio.h"
+#include "core/advisor.h"
 
 namespace hytap {
 
@@ -18,20 +16,15 @@ struct DoctorOptions {
   /// Diagnose against the newest `recent_windows` monitor windows (0 = all
   /// live windows).
   size_t recent_windows = 0;
-  /// Reference scan-cost parameters (ignored when `use_calibrated_params`).
-  ScanCostParams cost_params;
-  /// Use the table calibrator's fitted c_mm/c_ss instead of `cost_params`.
-  bool use_calibrated_params = false;
   /// DRAM budget for the recommendation; < 0 means "what the current
   /// placement uses" (placement parity: regret compares equal-budget
   /// allocations, not a budget change).
   double budget_bytes = -1.0;
-  /// Recommend through the anytime solver portfolio (exact B&B, explicit,
-  /// greedy raced under `portfolio.budget_ms`) instead of the one-shot
-  /// explicit solution; the report then carries the winner and its
-  /// LP-bound gap, and the hytap_solver_* metrics are exercised.
-  bool use_portfolio = false;
-  PortfolioOptions portfolio = PortfolioOptions::FromEnv();
+  /// The recommendation's planner config: params (static or calibrated),
+  /// pins, and the solver. With `planner.solver.use_portfolio` the report
+  /// carries the winner and its LP-bound gap, and the hytap_solver_*
+  /// metrics are exercised.
+  AdvisorOptions planner;
 };
 
 /// One column whose current tier disagrees with the recommendation.

@@ -1,14 +1,12 @@
 #include "core/retier_daemon.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
-#include "selection/cost_model.h"
 
 namespace hytap {
 
@@ -58,23 +56,6 @@ struct RetierMetrics {
     beta_milli = registry.GetGauge("hytap_retier_beta_milli");
   }
 };
-
-double EnvDouble(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::strtod(env, nullptr);
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::strtoull(env, nullptr, 10);
-}
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
 
 /// Appends pending steps migrating `table` toward `target`: evictions first
 /// (free DRAM before loads consume it), then loads, ascending column id
@@ -133,10 +114,11 @@ RetierOptions RetierOptions::FromEnv() {
   options.beta = EnvDouble("HYTAP_RETIER_BETA", options.beta);
   options.amortization_windows =
       EnvU64("HYTAP_RETIER_AMORT_WINDOWS", options.amortization_windows);
-  options.use_calibrated_params =
-      EnvBool("HYTAP_RETIER_CALIBRATED", options.use_calibrated_params);
-  options.use_portfolio =
-      EnvBool("HYTAP_RETIER_PORTFOLIO", options.use_portfolio);
+  AdvisorOptions& planner = options.planner;
+  planner.use_calibrated_params =
+      EnvFlag("HYTAP_RETIER_CALIBRATED", planner.use_calibrated_params);
+  planner.solver.use_portfolio =
+      EnvFlag("HYTAP_RETIER_PORTFOLIO", planner.solver.use_portfolio);
   return options;
 }
 
@@ -144,17 +126,8 @@ RetierDaemon::RetierDaemon(TieredTable* table, RetierOptions options)
     : table_(table), options_(std::move(options)), migrator_(0) {
   HYTAP_ASSERT(table_ != nullptr, "daemon needs a table");
   migrator_.set_calibration(&table_->calibrator(),
-                            options_.use_calibrated_params);
+                            options_.planner.use_calibrated_params);
   quarantined_.assign(table_->table().column_count(), 0);
-}
-
-std::vector<uint8_t> RetierDaemon::CurrentPlacement() const {
-  const std::vector<bool>& placement = table_->table().placement();
-  std::vector<uint8_t> current(placement.size());
-  for (size_t i = 0; i < placement.size(); ++i) {
-    current[i] = placement[i] ? 1 : 0;
-  }
-  return current;
 }
 
 uint64_t RetierDaemon::steps_remaining() const {
@@ -196,48 +169,32 @@ bool RetierDaemon::Evaluate(uint64_t window, RetierTickReport* report) {
     return false;
   }
 
-  const ScanCostParams params = options_.use_calibrated_params
-                                    ? table_->calibrator().Fitted()
-                                    : options_.cost_params;
-  std::vector<uint8_t> current = CurrentPlacement();
-  CostModel model(workload, params);
-
-  SelectionProblem problem;
-  problem.workload = &workload;
-  problem.params = params;
-  problem.budget_bytes = options_.budget_bytes < 0.0
-                             ? model.MemoryUsed(current)
-                             : options_.budget_bytes;
-  problem.current = current;
-  problem.beta =
+  PlanRequest request;
+  request.workload = &workload;
+  request.current = CurrentPlacement(table_->table());
+  request.budget_bytes = options_.budget_bytes;
+  request.beta =
       options_.beta >= 0.0
           ? options_.beta
           : BetaFromMigrationWindow(migrator_.MoveNsPerByte(*table_),
                                     options_.amortization_windows);
-  problem.pinned.assign(workload.column_count(), 0);
-  for (ColumnId c : options_.pinned_columns) {
-    if (c < problem.pinned.size()) problem.pinned[c] = 1;
-  }
+  request.calibrator = &table_->calibrator();
   // Quarantined columns are frozen: the DRAM-resident ones (abort-to-DRAM
   // landed them there) are pinned so selection prices their budget use; any
   // secondary-resident ones are simply never stepped again (AppendSteps
   // excludes them).
-  for (size_t c = 0; c < quarantined_.size(); ++c) {
-    if (quarantined_[c] != 0 && c < problem.pinned.size() &&
-        current[c] != 0) {
-      problem.pinned[c] = 1;
+  for (ColumnId c = 0; c < quarantined_.size(); ++c) {
+    if (quarantined_[c] != 0 && request.current[c] != 0) {
+      request.pinned.push_back(c);
     }
   }
 
-  ReallocationOptions selection_options;
-  selection_options.use_portfolio = options_.use_portfolio;
-  selection_options.portfolio = options_.portfolio;
-  const ReallocationResult result =
-      SelectWithReallocation(problem, selection_options);
+  const PlacementPlan planned = Advisor(options_.planner).Plan(request);
+  const ReallocationResult& result = planned.result;
   report->improvement_pct = result.improvement_pct;
   metrics.last_improvement_pct_milli->Set(
       int64_t(result.improvement_pct * 1000.0 + 0.5));
-  metrics.beta_milli->Set(int64_t(problem.beta * 1000.0 + 0.5));
+  metrics.beta_milli->Set(int64_t(request.beta * 1000.0 + 0.5));
 
   if (result.planned_moves == 0) {
     report->held = true;
@@ -249,7 +206,7 @@ bool RetierDaemon::Evaluate(uint64_t window, RetierTickReport* report) {
   // evicting down to budget usually *raises* F, so the deadband would
   // otherwise hold forever. Budget enforcement overrides the deadband.
   const bool over_budget =
-      model.MemoryUsed(current) > problem.budget_bytes + 0.5;
+      planned.current_dram_bytes > planned.budget_bytes + 0.5;
   if (!over_budget && result.improvement_pct < options_.min_improvement_pct) {
     report->held = true;
     report->reason = "deadband";
@@ -260,7 +217,7 @@ bool RetierDaemon::Evaluate(uint64_t window, RetierTickReport* report) {
   plan_ = RetierPlan{};
   plan_.id = next_plan_id_++;
   plan_.created_window = window;
-  plan_.beta = problem.beta;
+  plan_.beta = request.beta;
   plan_.improvement_pct = result.improvement_pct;
   plan_.current_cost = result.current_cost;
   plan_.target_objective = result.selection.objective;

@@ -7,15 +7,16 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "core/advisor.h"
 #include "core/migrator.h"
-#include "core/tiered_table.h"
-#include "selection/reallocation.h"
 
 namespace hytap {
 
 /// Re-tiering daemon configuration (DESIGN.md §14). Every default reads the
 /// matching HYTAP_RETIER_* knob via FromEnv().
 struct RetierOptions {
+  RetierOptions() { planner.solver.use_portfolio = true; }
+
   /// TV-distance drift (WorkloadMonitor::Drift) that triggers a
   /// re-evaluation of the placement.
   double drift_threshold = 0.25;
@@ -42,23 +43,19 @@ struct RetierOptions {
   /// amortized over `amortization_windows` (BetaFromMigrationWindow).
   double beta = -1.0;
   uint64_t amortization_windows = 8;
-  /// Price selection and move estimates with the calibrator's fitted
-  /// c_mm/c_ss instead of `cost_params`.
-  bool use_calibrated_params = false;
-  ScanCostParams cost_params;
-  /// Solve through the anytime portfolio (unlimited budget = deterministic
-  /// exact optimum) or the one-shot explicit solution.
-  bool use_portfolio = true;
-  PortfolioOptions portfolio = PortfolioOptions::FromEnv();
-  /// Columns the DBA pins in DRAM; the daemon adds quarantined columns.
-  std::vector<ColumnId> pinned_columns;
+  /// The selection's planner config. `use_calibrated_params` also prices
+  /// move estimates (and so beta) with the fitted c_ss; the solver defaults
+  /// to the portfolio (unlimited budget = deterministic exact optimum). The
+  /// daemon pins quarantined columns on top of `pinned_columns`.
+  AdvisorOptions planner;
 
   /// Reads HYTAP_RETIER_DRIFT, HYTAP_RETIER_DEADBAND_PCT,
   /// HYTAP_RETIER_DWELL_WINDOWS, HYTAP_RETIER_PERIOD_WINDOWS,
   /// HYTAP_RETIER_BYTES_PER_WINDOW, HYTAP_RETIER_BUDGET_BYTES,
   /// HYTAP_RETIER_RECENT_WINDOWS, HYTAP_RETIER_BETA,
-  /// HYTAP_RETIER_AMORT_WINDOWS, HYTAP_RETIER_CALIBRATED and
-  /// HYTAP_RETIER_PORTFOLIO.
+  /// HYTAP_RETIER_AMORT_WINDOWS, HYTAP_RETIER_CALIBRATED (into
+  /// planner.use_calibrated_params) and HYTAP_RETIER_PORTFOLIO (into
+  /// planner.solver.use_portfolio).
   static RetierOptions FromEnv();
 };
 
@@ -185,7 +182,6 @@ class RetierDaemon {
   /// actual placement vs the plan target minus quarantined columns.
   void RebuildQueue();
   void FinishPlan(uint64_t window, bool aborted, RetierTickReport* report);
-  std::vector<uint8_t> CurrentPlacement() const;
 
   TieredTable* table_;
   RetierOptions options_;

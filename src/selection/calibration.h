@@ -39,8 +39,9 @@ struct TierCalibration {
 /// The fit is independent of the reference parameters — only the residual
 /// report depends on them — so a perturbed starting point still converges
 /// to the device models' effective bandwidths (`placement_doctor_test`).
-/// Report-only by default: nothing consumes Fitted() unless the Advisor
-/// opts in via AdvisorOptions::use_calibrated_params.
+/// Report-only by default: nothing consumes Fitted() unless a planner opts
+/// in via AdvisorOptions::use_calibrated_params (the Advisor, and the doctor
+/// and daemon through their embedded `planner` options).
 class CostCalibrator : public QueryObservationSink {
  public:
   explicit CostCalibrator(ScanCostParams reference = ScanCostParams());

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "selection/cost_model.h"
 
 namespace hytap {
 
@@ -34,10 +33,8 @@ ReallocationResult SelectWithReallocation(const SelectionProblem& problem,
     result.selection = SelectExplicit(problem, /*filling=*/true);
   }
 
-  // F(y): price staying put under the same model. The move term is zero at
-  // x = y, so the plain scan cost is the full objective of the status quo.
-  CostModel model(*problem.workload, problem.params);
-  result.current_cost = model.ScanCost(problem.current);
+  // F(y), priced by the selector's own cost model (FinishResult).
+  result.current_cost = result.selection.current_cost;
 
   const std::vector<double>& sizes = problem.workload->column_sizes;
   for (size_t c = 0; c < problem.current.size(); ++c) {

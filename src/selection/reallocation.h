@@ -9,13 +9,14 @@
 
 namespace hytap {
 
-/// How SelectWithReallocation solves the reallocation-aware problem.
+/// How SelectWithReallocation solves the selection problem — the one place
+/// that chooses between the portfolio and the explicit solution.
 struct ReallocationOptions {
   /// Race the anytime solver portfolio (exact B&B, explicit, greedy) under
-  /// `portfolio.budget_ms`; false = one-shot explicit solution. With an
-  /// unlimited budget the portfolio result is the deterministic exact
-  /// optimum, so the re-tiering daemon stays bit-identical across runs.
-  bool use_portfolio = true;
+  /// `portfolio.budget_ms`; false = one-shot explicit solution (Theorem 2 +
+  /// Remark-2 filling). With an unlimited budget the portfolio result is the
+  /// deterministic exact optimum, bit-identical to SelectIntegerOptimal.
+  bool use_portfolio = false;
   PortfolioOptions portfolio = PortfolioOptions::FromEnv();
 };
 
@@ -32,7 +33,7 @@ struct ReallocationResult {
   /// those moves migrate.
   uint64_t planned_moves = 0;
   double planned_move_bytes = 0.0;
-  /// F(y): the objective of staying put (the |x - y| term vanishes at x=y).
+  /// F(y): the objective of staying put (selection.current_cost).
   double current_cost = 0.0;
   /// current_cost - selection.objective, i.e. the scan-cost win of moving
   /// net of the amortized move cost beta * moved bytes. >= 0 for an exact

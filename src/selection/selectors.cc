@@ -73,6 +73,9 @@ SelectionResult FinishResult(const SelectionProblem& problem,
   result.scan_cost = model.ScanCost(in_dram);
   result.dram_bytes = model.MemoryUsed(in_dram);
   result.objective = result.scan_cost;
+  if (!problem.current.empty()) {
+    result.current_cost = model.ScanCost(problem.current);
+  }
   if (!problem.current.empty() && problem.beta != 0.0) {
     for (size_t i = 0; i < n; ++i) {
       if (in_dram[i] != problem.current[i]) {

@@ -35,6 +35,10 @@ struct SelectionResult {
   double scan_cost = 0.0;        // F(x)
   double dram_bytes = 0.0;       // M(x)
   double objective = 0.0;        // F(x) + beta * moved bytes
+  /// F(y) of problem.current under the same cost model (0 when no current
+  /// allocation is set). The move term vanishes at x = y, so this is the
+  /// full objective of staying put.
+  double current_cost = 0.0;
   double solve_seconds = 0.0;    // wall time including cost-model build
   double model_seconds = 0.0;    // share spent building the cost model
   uint64_t solver_nodes = 0;     // B&B nodes (integer selector only)
@@ -141,7 +145,8 @@ struct RelaxationResult {
 };
 RelaxationResult SolveRelaxationSimplex(const SelectionProblem& problem);
 
-/// Finishes a raw allocation into a SelectionResult (cost bookkeeping).
+/// Finishes a raw allocation into a SelectionResult (cost bookkeeping,
+/// including F(current) when problem.current is set).
 SelectionResult FinishResult(const SelectionProblem& problem,
                              const CostModel& model,
                              std::vector<uint8_t> in_dram);

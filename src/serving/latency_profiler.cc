@@ -4,22 +4,13 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 
 namespace hytap {
 namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<uint64_t>(parsed);
-}
 
 const char* ClassName(QueryClass cls) {
   return cls == QueryClass::kOltp ? "oltp" : "olap";

@@ -1,11 +1,10 @@
 #include "serving/session_manager.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -73,21 +72,6 @@ struct SessionMetrics {
   }
 };
 
-size_t EnvSize(const char* name, size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const unsigned long long value = std::strtoull(env, nullptr, 10);
-    if (value >= 1) return size_t(value);
-  }
-  return fallback;
-}
-
-bool EnvFlag(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "false") == 0 || std::strcmp(env, "OFF") == 0);
-}
-
 /// Deadline-less queries sort after every deadline.
 uint64_t EffectiveDeadline(const QuerySession& s) {
   return s.deadline_ns() == 0 ? UINT64_MAX : s.deadline_ns();
@@ -97,6 +81,11 @@ uint64_t EffectiveDeadline(const QuerySession& s) {
 
 SessionOptions SessionOptions::FromEnv() {
   SessionOptions options;
+  // Every size knob must be >= 1; 0 keeps the default.
+  auto EnvSize = [](const char* name, size_t fallback) {
+    const uint64_t value = EnvU64(name, 0);
+    return value >= 1 ? size_t(value) : fallback;
+  };
   options.max_sessions = EnvSize("HYTAP_MAX_SESSIONS", options.max_sessions);
   options.queue_capacity =
       EnvSize("HYTAP_SESSION_QUEUE_CAP", options.queue_capacity);

@@ -139,8 +139,8 @@ using SessionHandle = std::shared_ptr<QuerySession>;
 /// (session_test / bench_serving assert this).
 ///
 /// Observations are replayed into the workload monitor and plan cache in
-/// ticket order through a reorder buffer, so the PR 5 window time series and
-/// the PR 7 forecasting inputs are also interleaving-independent.
+/// ticket order through a reorder buffer, so the monitor's window time
+/// series and the plan cache's workload are also interleaving-independent.
 class SessionManager {
  public:
   SessionManager(TieredTable* table, SessionOptions options);

@@ -1,32 +1,13 @@
 #include "serving/slo_monitor.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 
 namespace hytap {
 namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<uint64_t>(parsed);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  if (end == value) return fallback;
-  return parsed;
-}
 
 struct SloMetrics {
   Counter* observations;

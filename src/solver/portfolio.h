@@ -162,7 +162,6 @@ struct PortfolioResult {
 class SolverPortfolio {
  public:
   explicit SolverPortfolio(PortfolioOptions options);
-  SolverPortfolio() : SolverPortfolio(PortfolioOptions::FromEnv()) {}
 
   PortfolioResult Solve(const SelectionProblem& problem);
 

@@ -14,7 +14,7 @@ inline constexpr size_t kZoneMapRows = 1 << 16;
 
 /// Master switch for all data skipping (MRC zone maps, SSCG page synopses,
 /// candidate-restricted tiered scans). Initialized from the HYTAP_ZONE_MAPS
-/// environment variable ("off" / "0" / "false" disable; default on).
+/// environment flag (common/env.h grammar; default on).
 /// Pruning is a pure function of immutable metadata, so toggling the knob
 /// never changes query results — only how much data is touched.
 bool ZoneMapsEnabled();

@@ -30,9 +30,10 @@ class Table;
 /// never feeds back into execution, so results, IO counters, and fault
 /// schedules are bit-identical with the knob on or off
 /// (`workload_monitor_test` asserts this at 1/2/4 threads under seeded
-/// faults). The master switch is `HYTAP_WORKLOAD_MONITOR` ("off"/"0"/
-/// "false" disable; default on); while disabled, Record() is never reached —
-/// the executor skips observation building behind one relaxed load.
+/// faults). The master switch is the `HYTAP_WORKLOAD_MONITOR` flag
+/// (common/env.h grammar; default on); while disabled, Record() is never
+/// reached — the executor skips observation building behind one relaxed
+/// load.
 
 namespace workload_monitor_internal {
 extern std::atomic<bool> g_enabled;

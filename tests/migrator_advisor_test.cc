@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "core/advisor.h"
+#include "core/database.h"
+#include "core/global_advisor.h"
 #include "core/migrator.h"
+#include "core/placement_doctor.h"
 #include "workload/tpcc.h"
+#include "workload/workload_monitor.h"
 
 namespace hytap {
 namespace {
@@ -69,12 +73,97 @@ TEST(AdvisorTest, PinningOverridesModel) {
 TEST(AdvisorTest, AlgorithmsAgreeOnCosts) {
   auto table = MakeOrderline();
   RunTpccWorkload(table.get());
-  AdvisorOptions explicit_opts, integer_opts;
-  integer_opts.algorithm = AdvisorAlgorithm::kIntegerOptimal;
-  Recommendation a = Advisor(explicit_opts).RecommendRelative(*table, 0.4);
-  Recommendation b = Advisor(integer_opts).RecommendRelative(*table, 0.4);
+  AdvisorOptions portfolio_opts;
+  portfolio_opts.solver.use_portfolio = true;
+  portfolio_opts.solver.portfolio.budget_ms = 0.0;  // unlimited: exact
+  Recommendation a = Advisor().RecommendRelative(*table, 0.4);
+  Recommendation b =
+      Advisor(portfolio_opts).RecommendRelative(*table, 0.4);
+  // An unlimited-budget portfolio is the exact optimum, bit for bit.
+  EXPECT_EQ(b.winner, "exact");
+  EXPECT_FALSE(b.deadline_hit);
+  SelectionProblem problem;
+  problem.workload = &b.workload;
+  problem.params = b.params_used;
+  double total = 0.0;
+  for (ColumnId c = 0; c < table->table().column_count(); ++c) {
+    total += double(table->table().ColumnDramBytes(c));
+  }
+  problem.budget_bytes = 0.4 * total;
+  const SelectionResult exact = SelectIntegerOptimal(problem);
+  EXPECT_EQ(b.selection.in_dram, exact.in_dram);
+  EXPECT_EQ(b.selection.scan_cost, exact.scan_cost);
   // Explicit is within a few percent of optimal on this workload.
   EXPECT_LE(a.selection.scan_cost, 1.1 * b.selection.scan_cost);
+}
+
+TEST(AdvisorTest, DoctorRecommendsWhatTheAdvisorRecommends) {
+  // One planner, one answer: with the monitor off the doctor falls back to
+  // the plan cache, so at the same budget it must plan exactly what the
+  // Advisor plans.
+  const bool was = WorkloadMonitorEnabled();
+  SetWorkloadMonitorEnabled(false);
+  auto table = MakeOrderline();
+  RunTpccWorkload(table.get());
+  SetWorkloadMonitorEnabled(was);
+  ASSERT_EQ(table->monitor().queries_observed(), 0u);
+
+  double total = 0.0;
+  for (ColumnId c = 0; c < table->table().column_count(); ++c) {
+    total += double(table->table().ColumnDramBytes(c));
+  }
+  const double budget = 0.4 * total;
+  const Recommendation rec = Advisor().Recommend(*table, budget);
+
+  DoctorOptions options;
+  options.budget_bytes = budget;
+  options.top_k = table->table().column_count();
+  const DoctorReport report = PlacementDoctor(options).Diagnose(*table);
+  EXPECT_FALSE(report.from_monitor);
+  EXPECT_EQ(report.recommended_cost, rec.selection.scan_cost);
+  EXPECT_EQ(report.recommended_dram_bytes, rec.selection.dram_bytes);
+  // Recommended placement = current placement with every misplaced column
+  // flipped.
+  std::vector<bool> recommended = table->table().placement();
+  for (const MisplacedColumn& column : report.misplaced) {
+    EXPECT_EQ(column.in_dram_now, recommended[column.column]);
+    recommended[column.column] = column.in_dram_recommended;
+  }
+  EXPECT_EQ(recommended, rec.in_dram);
+}
+
+TEST(AdvisorTest, GlobalAdvisorOnOneTableEqualsAdvisor) {
+  // A one-table database and a tiered table over the same rows and the same
+  // queries: the joint plan is the table's plan.
+  const bool was = WorkloadMonitorEnabled();
+  SetWorkloadMonitorEnabled(false);  // both plan caches record plain queries
+  auto table = MakeOrderline();
+  RunTpccWorkload(table.get());
+  SetWorkloadMonitorEnabled(was);
+
+  Database db;
+  OrderlineParams params;
+  params.warehouses = 2;
+  params.districts_per_warehouse = 2;
+  params.orders_per_district = 20;
+  db.CreateTable("orderline", OrderlineSchema())
+      ->BulkLoad(GenerateOrderlineRows(params));
+  Transaction txn = db.Begin();
+  for (int i = 0; i < 50; ++i) {
+    db.Execute(txn, "orderline",
+               DeliveryQuery(1 + i % 2, 1 + i % 2, 1 + i % 20));
+  }
+  db.Execute(txn, "orderline", ChQuery19(1, 1, 500, 1, 5));
+
+  for (double w : {0.2, 0.4, 0.9}) {
+    const Recommendation local = Advisor().RecommendRelative(*table, w);
+    const GlobalRecommendation global =
+        GlobalAdvisor().RecommendRelative(&db, w);
+    ASSERT_EQ(global.placements.size(), 1u);
+    EXPECT_EQ(global.placements[0].in_dram, local.in_dram) << w;
+    EXPECT_EQ(global.selection.in_dram, local.selection.in_dram) << w;
+    EXPECT_EQ(global.selection.scan_cost, local.selection.scan_cost) << w;
+  }
 }
 
 TEST(AdvisorTest, ApplyChangesPlacement) {

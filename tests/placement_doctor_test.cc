@@ -199,18 +199,15 @@ TEST(PlacementDoctorTest, CalibratedParamsOptIn) {
   SetWorkloadMonitorEnabled(was);
 
   DoctorOptions options;
-  options.use_calibrated_params = true;
+  options.planner.use_calibrated_params = true;
   PlacementDoctor doctor(options);
   const DoctorReport report = doctor.Diagnose(*table);
   EXPECT_TRUE(report.calibrated);
   EXPECT_EQ(report.calibration_samples, kQueriesPerPhase);
   EXPECT_DOUBLE_EQ(report.params_used.c_mm, report.fitted_params.c_mm);
   EXPECT_DOUBLE_EQ(report.params_used.c_ss, report.fitted_params.c_ss);
-  // The advisor honors the same opt-in.
-  AdvisorOptions advisor_options;
-  advisor_options.calibrator = &table->calibrator();
-  advisor_options.use_calibrated_params = true;
-  Advisor advisor(advisor_options);
+  // The advisor honors the same opt-in, pricing with the table's calibrator.
+  Advisor advisor(options.planner);
   const Recommendation rec = advisor.RecommendRelative(*table, 0.5);
   EXPECT_DOUBLE_EQ(rec.params_used.c_mm, report.fitted_params.c_mm);
   EXPECT_DOUBLE_EQ(rec.params_used.c_ss, report.fitted_params.c_ss);

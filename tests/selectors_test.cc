@@ -255,6 +255,25 @@ TEST(ReallocationTest, ModerateBetaLimitsMoves) {
   EXPECT_LE(count_moves(costed.in_dram), count_moves(free_moves.in_dram));
 }
 
+TEST(ReallocationTest, FinishResultRecordsCurrentCost) {
+  // Every selector prices F(current) with its own cost model; the value is
+  // exactly what a fresh CostModel charges for staying put.
+  Workload w = GenerateExample1({});
+  auto p = SelectionProblem::FromRelativeBudget(w, ScanCostParams{1, 100},
+                                                0.3);
+  EXPECT_EQ(SelectExplicit(p).current_cost, 0.0);  // no current allocation
+  Rng rng(17);
+  p.current.resize(w.column_count());
+  for (uint8_t& y : p.current) y = rng.NextDouble() < 0.5 ? 1 : 0;
+  const double staying = CostModel(w, p.params).ScanCost(p.current);
+  for (double beta : {0.0, 5.0}) {
+    p.beta = beta;
+    EXPECT_EQ(SelectExplicit(p).current_cost, staying) << beta;
+    EXPECT_EQ(SelectIntegerOptimal(p).current_cost, staying) << beta;
+    EXPECT_EQ(SelectGreedyMarginal(p).current_cost, staying) << beta;
+  }
+}
+
 TEST(SimplexSelectorsTest, PenaltyLpIsIntegral) {
   // Lemma 1 via the actual LP solver.
   Example1Params params;

@@ -273,8 +273,8 @@ TEST(PortfolioTest, SimplexIterationLimitIsDistinctStatus) {
 }
 
 TEST(PortfolioTest, AdvisorPortfolioAlgorithmProducesFeasiblePlacement) {
-  // The Advisor enum gained kPortfolio; a Recommendation through it must be
-  // budget-feasible and name a winner.
+  // A deadline-bounded portfolio run (the Advisor's solver.use_portfolio
+  // path) must be budget-feasible and name a winner.
   Example1Params params;
   params.num_columns = 25;
   params.num_queries = 150;

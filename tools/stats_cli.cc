@@ -318,10 +318,9 @@ int main(int argc, char** argv) {
   // hytap_solver_* family is populated too.
   DoctorOptions doctor_options;
   if (options.solver) {
-    doctor_options.use_portfolio = true;
-    if (doctor_options.portfolio.budget_ms <= 0.0) {
-      doctor_options.portfolio.budget_ms = 50.0;
-    }
+    ReallocationOptions& solver = doctor_options.planner.solver;
+    solver.use_portfolio = true;
+    if (solver.portfolio.budget_ms <= 0.0) solver.portfolio.budget_ms = 50.0;
   }
   PlacementDoctor doctor(doctor_options);
   const DoctorReport report = doctor.Diagnose(table);
