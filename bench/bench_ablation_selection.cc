@@ -160,7 +160,8 @@ void AblateSecondaryFormat() {
   }
   std::vector<ColumnId> members;
   for (ColumnId c = 0; c < attrs; ++c) members.push_back(c);
-  Sscg sscg(RowLayout(schema, members), data, &store);
+  const RowLayout layout(schema, members);
+  Sscg sscg(layout, TransposeRows(layout.SlotTypes(), data), &store);
 
   BufferManager cold_disk(&store, 8), cold_sscg(&store, 8);
   IoStats disk_io, sscg_io;

@@ -111,7 +111,8 @@ int main(int argc, char** argv) {
     SecondaryStore store(DeviceKind::kCssd);
     std::vector<ColumnId> members;
     for (ColumnId c = 0; c < width; ++c) members.push_back(c);
-    Sscg sscg(RowLayout(schema, members), data, &store);
+    const RowLayout layout(schema, members);
+    Sscg sscg(layout, TransposeRows(layout.SlotTypes(), data), &store);
     BufferManager buffers(&store, 16);  // tiny cache: scans hit the device
     const int32_t span = int32_t(rows / 1000);  // 0.1% of the rows
     const Value lo(int32_t(rows / 2));

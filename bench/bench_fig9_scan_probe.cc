@@ -64,7 +64,10 @@ int main(int argc, char** argv) {
       Schema schema = WideSchema(width);
       std::vector<ColumnId> members;
       for (ColumnId c = 0; c < width; ++c) members.push_back(c);
-      Sscg sscg(RowLayout(schema, members), GroupRows(rows, width), &store);
+      const RowLayout layout(schema, members);
+      Sscg sscg(layout,
+                TransposeRows(layout.SlotTypes(), GroupRows(rows, width)),
+                &store);
       // Tiny cache: scans must hit the device.
       BufferManager buffers(&store, 16);
       std::printf("%-10s %5zu/%-2d |", DeviceKindName(device), size_t{1},
@@ -88,10 +91,12 @@ int main(int argc, char** argv) {
   Schema schema = WideSchema(width);
   std::vector<ColumnId> members;
   for (ColumnId c = 0; c < width; ++c) members.push_back(c);
-  const auto rows_data = GroupRows(rows, width);
+  const RowLayout layout(schema, members);
+  const auto columns =
+      TransposeRows(layout.SlotTypes(), GroupRows(rows, width));
   for (DeviceKind device : kSecondaryDevices) {
     SecondaryStore store(device);
-    Sscg sscg(RowLayout(schema, members), rows_data, &store);
+    Sscg sscg(layout, columns, &store);
     BufferManager buffers(&store, 64);
     for (double selectivity : {0.001, 0.1}) {
       // Random candidate positions (sorted), as produced by prior filters.

@@ -1,6 +1,7 @@
 // Micro-benchmarks of the storage-engine building blocks (real wall time,
 // google-benchmark): dictionary encode/lookup, bit-packed access, B+-tree,
-// MRC scan/probe, buffer-manager fetch, and the selection solvers.
+// MRC scan/probe, buffer-manager fetch, the main-partition rebuild (column
+// encode, placement change, merge), and the selection solvers.
 
 #include <benchmark/benchmark.h>
 
@@ -10,8 +11,11 @@
 #include "storage/bit_packed_vector.h"
 #include "storage/bplus_tree.h"
 #include "storage/dictionary_column.h"
+#include "storage/table.h"
 #include "tiering/buffer_manager.h"
+#include "workload/enterprise.h"
 #include "workload/example1.h"
+#include "workload/tpcc.h"
 
 namespace hytap {
 namespace {
@@ -44,6 +48,110 @@ void BM_DictionaryLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DictionaryLookup);
+
+constexpr size_t kBuildRows = 200000;
+
+/// One MRC's sort-once encode of 200k int32 values drawn from
+/// [0, cardinality).
+void BM_DictionaryColumnBuild(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<int32_t> values(kBuildRows);
+  for (int32_t& v : values) {
+    v = int32_t(rng.NextBounded(uint64_t(state.range(0))));
+  }
+  for (auto _ : state) {
+    auto column = DictionaryColumn<int32_t>::Build(values);
+    benchmark::DoNotOptimize(column->MemoryUsage());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t(kBuildRows));
+}
+BENCHMARK(BM_DictionaryColumnBuild)->ArgName("cardinality")->Arg(1000)->Arg(
+    200000);
+
+/// The same over 200k ORDERLINE-style strings (11-15 characters, 100k
+/// distinct).
+void BM_DictionaryColumnBuildString(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<std::string> values(kBuildRows);
+  for (std::string& v : values) {
+    v = "dist-info-" + std::to_string(rng.NextBounded(100000));
+  }
+  for (auto _ : state) {
+    auto column = DictionaryColumn<std::string>::Build(values);
+    benchmark::DoNotOptimize(column->MemoryUsage());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t(kBuildRows));
+}
+BENCHMARK(BM_DictionaryColumnBuildString);
+
+/// A table with its own store, so every iteration starts from fresh pages.
+struct RebuildFixture {
+  TransactionManager txns;
+  SecondaryStore store{DeviceKind::kCssd, 42, FaultConfig()};
+  BufferManager buffers{&store, 64};
+  Table table;
+
+  RebuildFixture(const Schema& schema, const std::vector<Row>& rows)
+      : table("t", schema, &txns, &store, &buffers) {
+    table.BulkLoad(rows);
+  }
+};
+
+/// Re-tiering a BSEG-shaped table (48 int32 attributes, 100k rows) from all
+/// DRAM to a 30 % budget: the lowest-numbered columns that fit stay in DRAM.
+void BM_SetPlacement(benchmark::State& state) {
+  EnterpriseProfile profile = BsegProfile();
+  profile.attribute_count = 48;
+  const Schema schema = MakeEnterpriseSchema(profile);
+  const std::vector<Row> rows = GenerateEnterpriseRows(profile, 100000, 3);
+  for (auto _ : state) {
+    state.PauseTiming();
+    RebuildFixture fixture(schema, rows);
+    size_t total = 0;
+    for (ColumnId c = 0; c < schema.size(); ++c) {
+      total += fixture.table.ColumnDramBytes(c);
+    }
+    std::vector<bool> in_dram(schema.size(), false);
+    size_t used = 0;
+    for (ColumnId c = 0; c < schema.size(); ++c) {
+      used += fixture.table.ColumnDramBytes(c);
+      in_dram[c] = used <= total * 3 / 10;
+    }
+    state.ResumeTiming();
+    const Status status = fixture.table.SetPlacement(in_dram);
+    benchmark::DoNotOptimize(status.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_SetPlacement)->Unit(benchmark::kMillisecond);
+
+/// Merging an 8 % delta into an ORDERLINE table placed at the paper's
+/// w = 0.2 (primary key and ol_i_id in DRAM, the rest in the SSCG).
+void BM_MergeDelta(benchmark::State& state) {
+  OrderlineParams params;
+  params.warehouses = 4;
+  const std::vector<Row> rows = GenerateOrderlineRows(params);
+  const size_t main_rows = rows.size() * 92 / 100;
+  const std::vector<Row> main(rows.begin(), rows.begin() + main_rows);
+  std::vector<bool> in_dram(OrderlineSchema().size(), false);
+  for (ColumnId c : OrderlinePrimaryKey()) in_dram[c] = true;
+  in_dram[kOlIId] = true;
+  for (auto _ : state) {
+    state.PauseTiming();
+    RebuildFixture fixture(OrderlineSchema(), main);
+    benchmark::DoNotOptimize(fixture.table.SetPlacement(in_dram).ok());
+    Transaction txn = fixture.txns.Begin();
+    for (size_t r = main_rows; r < rows.size(); ++r) {
+      benchmark::DoNotOptimize(fixture.table.Insert(txn, rows[r]).ok());
+    }
+    fixture.txns.Commit(&txn);
+    state.ResumeTiming();
+    const Status status = fixture.table.MergeDelta();
+    benchmark::DoNotOptimize(status.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t(rows.size()));
+}
+BENCHMARK(BM_MergeDelta)->Unit(benchmark::kMillisecond);
 
 void BM_BitPackedGet(benchmark::State& state) {
   BitPackedVector v(uint32_t(state.range(0)));

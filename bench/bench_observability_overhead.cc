@@ -274,7 +274,9 @@ int main(int argc, char** argv) {
     Schema schema = TableSchema();
     std::vector<ColumnId> members;
     for (ColumnId c = 0; c <= kPayloadWidth; ++c) members.push_back(c);
-    Sscg sscg(RowLayout(schema, members), TableRows(rows), &store);
+    const RowLayout layout(schema, members);
+    Sscg sscg(layout, TransposeRows(layout.SlotTypes(), TableRows(rows)),
+              &store);
     BufferManager buffers(&store, 64);
     const size_t sweeps = small ? 4 : 8;
     scan_sample = MeasureConfigs("mrc_scan", reps, [&] {

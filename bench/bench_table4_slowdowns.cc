@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
     for (ColumnId c = 0; c < width; ++c) members.push_back(c);
     const auto data = GroupRows(rows, width);
     SecondaryStore store(device);
-    Sscg sscg(RowLayout(schema, members), data, &store);
+    const RowLayout layout(schema, members);
+    Sscg sscg(layout, TransposeRows(layout.SlotTypes(), data), &store);
     BufferManager buffers(&store, 32);
     // DRAM reference: a vectorized scan over the same column.
     std::vector<int32_t> column;

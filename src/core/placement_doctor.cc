@@ -6,7 +6,6 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "selection/cost_model.h"
 
 namespace hytap {
 
@@ -121,22 +120,18 @@ DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
                           : 0.0;
 
   // Misplaced columns ranked by their separable cost term a_i * |S_i|: the
-  // scan-cost swing of moving the column to its recommended tier.
-  const CostModel model(workload, report.params_used);
-  report.all_dram_cost = model.AllDramCost();
-  const std::vector<double>& s = model.S();
-  for (ColumnId c = 0; c < workload.column_count(); ++c) {
-    const bool now = request.current[c] != 0;
-    const bool want = recommended.in_dram[c] != 0;
-    if (now == want) continue;
+  // scan-cost swing of moving the column to its recommended tier, priced by
+  // the planner's own cost model.
+  report.all_dram_cost = recommended.all_dram_cost;
+  for (const auto& [c, cost_delta] : recommended.moves) {
     MisplacedColumn column;
     column.column = c;
     column.name = c < workload.column_names.size() ? workload.column_names[c]
                                                    : std::to_string(c);
-    column.in_dram_now = now;
-    column.in_dram_recommended = want;
+    column.in_dram_now = request.current[c] != 0;
+    column.in_dram_recommended = recommended.in_dram[c] != 0;
     column.size_bytes = uint64_t(workload.column_sizes[c]);
-    column.cost_delta = workload.column_sizes[c] * std::abs(s[c]);
+    column.cost_delta = cost_delta;
     report.misplaced.push_back(std::move(column));
   }
   std::sort(report.misplaced.begin(), report.misplaced.end(),

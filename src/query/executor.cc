@@ -12,6 +12,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "query/scan.h"
+#include "storage/typed_column.h"
 
 namespace hytap {
 
@@ -570,29 +571,6 @@ Value Fold(Aggregate::Kind kind, size_t n, Input input) {
   return Value(best);
 }
 
-/// A non-projected aggregate input in position order, unboxed to the
-/// column's type. Materialize workers fill their morsels' index ranges; the
-/// fold reads it serially.
-using TypedInput = std::variant<std::vector<int32_t>, std::vector<int64_t>,
-                                std::vector<float>, std::vector<double>,
-                                std::vector<std::string>>;
-
-TypedInput MakeTypedInput(DataType type, size_t n) {
-  switch (type) {
-    case DataType::kInt32:
-      return std::vector<int32_t>(n);
-    case DataType::kInt64:
-      return std::vector<int64_t>(n);
-    case DataType::kFloat:
-      return std::vector<float>(n);
-    case DataType::kDouble:
-      return std::vector<double>(n);
-    case DataType::kString:
-      return std::vector<std::string>(n);
-  }
-  HYTAP_UNREACHABLE("invalid DataType");
-}
-
 /// Where a fetch column's main-partition cells live, resolved once per
 /// query: an MRC, or (mrc == null) a slot of the SSCG.
 struct MainSource {
@@ -706,10 +684,12 @@ Status QueryExecutor::Materialize(const Query& query, const ExecOptions& opts,
   };
   std::vector<Row>& rows = result->rows;
   rows.resize(projected == 0 ? 0 : positions.size());
-  std::vector<TypedInput> inputs;
+  // Non-projected aggregate inputs in position order, unboxed: workers
+  // fill their morsels' index ranges; the fold reads them serially.
+  std::vector<TypedColumn> inputs;
   for (size_t p = projected; p < fetch_cols.size(); ++p) {
-    inputs.push_back(MakeTypedInput(table_->schema()[fetch_cols[p]].type,
-                                    positions.size()));
+    inputs.push_back(MakeTypedColumn(table_->schema()[fetch_cols[p]].type,
+                                     positions.size()));
   }
   std::vector<IoStats> worker_io(
       ThreadPool::MorselCount(0, positions.size(), kMaterializeMorselRows));

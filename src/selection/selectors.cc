@@ -73,15 +73,15 @@ SelectionResult FinishResult(const SelectionProblem& problem,
   result.scan_cost = model.ScanCost(in_dram);
   result.dram_bytes = model.MemoryUsed(in_dram);
   result.objective = result.scan_cost;
+  result.all_dram_cost = model.AllDramCost();
   if (!problem.current.empty()) {
     result.current_cost = model.ScanCost(problem.current);
-  }
-  if (!problem.current.empty() && problem.beta != 0.0) {
+    const std::vector<double>& s = model.S();
     for (size_t i = 0; i < n; ++i) {
-      if (in_dram[i] != problem.current[i]) {
-        result.objective +=
-            problem.beta * problem.workload->column_sizes[i];
-      }
+      if (in_dram[i] == problem.current[i]) continue;
+      const double size = problem.workload->column_sizes[i];
+      if (problem.beta != 0.0) result.objective += problem.beta * size;
+      result.moves.emplace_back(i, size * std::abs(s[i]));
     }
   }
   result.in_dram = std::move(in_dram);

@@ -39,6 +39,12 @@ struct SelectionResult {
   /// allocation is set). The move term vanishes at x = y, so this is the
   /// full objective of staying put.
   double current_cost = 0.0;
+  /// F of the all-DRAM allocation under the same cost model.
+  double all_dram_cost = 0.0;
+  /// Every column whose tier differs from problem.current, in column
+  /// order, with its separable cost term a_i * |S_i|: the scan-cost swing of
+  /// moving it. Empty when no current allocation is set.
+  std::vector<std::pair<size_t, double>> moves;
   double solve_seconds = 0.0;    // wall time including cost-model build
   double model_seconds = 0.0;    // share spent building the cost model
   uint64_t solver_nodes = 0;     // B&B nodes (integer selector only)

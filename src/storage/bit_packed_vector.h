@@ -89,6 +89,11 @@ class BitPackedVector {
   /// metadata (~0.003 %) is excluded and reported separately.
   size_t MemoryUsage() const { return words_.size() * sizeof(uint64_t); }
 
+  /// MemoryUsage() of `count` codes appended at width `bits`.
+  static size_t MemoryUsageFor(uint32_t bits, size_t count) {
+    return (count * bits + 63) / 64 * sizeof(uint64_t);
+  }
+
   void Reserve(size_t count);
 
   /// Per-`kZoneMapRows`-block min/max codes, maintained on Append and

@@ -1,8 +1,10 @@
 #ifndef HYTAP_STORAGE_DICTIONARY_H_
 #define HYTAP_STORAGE_DICTIONARY_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -10,6 +12,21 @@
 #include "common/types.h"
 
 namespace hytap {
+
+/// The dictionary order: operator< for every type, except that all NaNs are
+/// one value that sorts after +inf. Unlike operator< this is a strict weak
+/// ordering on floating point, so sorting values that hold NaN is defined.
+/// -0.0 and +0.0 are one value.
+template <typename T>
+struct DictionaryLess {
+  bool operator()(const T& a, const T& b) const {
+    if constexpr (std::is_floating_point_v<T>) {
+      return a < b || (std::isnan(b) && !std::isnan(a));
+    } else {
+      return a < b;
+    }
+  }
+};
 
 /// Order-preserving dictionary for the read-optimized main partition.
 ///
@@ -23,6 +40,18 @@ class OrderPreservingDictionary {
 
   /// Builds from arbitrary (unsorted, possibly duplicated) values.
   static OrderPreservingDictionary Build(const std::vector<T>& values);
+
+  /// Builds the dictionary of `values` and, if `codes` is non-null, every
+  /// row's code (codes->at(r) encodes values[r]) from one stable sort of the
+  /// row permutation (DictionaryLess order): each run of equal values gives
+  /// one entry, so no row is looked up. An entry holds the first occurrence
+  /// in row order of its values (which matters for -0.0 / +0.0).
+  static OrderPreservingDictionary Encode(const std::vector<T>& values,
+                                          std::vector<uint32_t>* codes);
+
+  /// MemoryUsage() of Build(values), from the same sort, without building
+  /// the dictionary; its size() goes to `*entries`.
+  static size_t MemoryUsageFor(const std::vector<T>& values, size_t* entries);
 
   /// Exact-match code; nullopt if the value is not in the dictionary.
   std::optional<ValueId> CodeFor(const T& value) const;

@@ -20,17 +20,40 @@ constexpr DataType TypeOf() {
 template <typename T>
 std::unique_ptr<DictionaryColumn<T>> DictionaryColumn<T>::Build(
     const std::vector<T>& values) {
-  auto dictionary = OrderPreservingDictionary<T>::Build(values);
+  std::vector<uint32_t> row_codes;
+  auto dictionary = OrderPreservingDictionary<T>::Encode(values, &row_codes);
   const uint64_t max_code = dictionary.empty() ? 0 : dictionary.size() - 1;
   BitPackedVector codes(BitPackedVector::BitsFor(max_code));
   codes.Reserve(values.size());
-  for (const T& value : values) {
-    auto code = dictionary.CodeFor(value);
-    HYTAP_ASSERT(code.has_value(), "value missing from its own dictionary");
-    codes.Append(*code);
-  }
+  for (const uint32_t code : row_codes) codes.Append(code);
   return std::unique_ptr<DictionaryColumn<T>>(
       new DictionaryColumn<T>(std::move(dictionary), std::move(codes)));
+}
+
+template <typename T>
+size_t DictionaryColumn<T>::MemoryUsageFor(const std::vector<T>& values) {
+  size_t entries = 0;
+  const size_t dictionary_bytes =
+      OrderPreservingDictionary<T>::MemoryUsageFor(values, &entries);
+  const uint64_t max_code = entries == 0 ? 0 : entries - 1;
+  return dictionary_bytes +
+         BitPackedVector::MemoryUsageFor(BitPackedVector::BitsFor(max_code),
+                                         values.size());
+}
+
+template <typename T>
+void DictionaryColumn<T>::Gather(const RowId* rows, size_t n, T* out) const {
+  constexpr size_t kBlockRows = 1024;
+  uint64_t block[kBlockRows];
+  for (size_t i = 0; i < n;) {
+    HYTAP_ASSERT(rows[i] < codes_.size(), "gather row out of range");
+    const size_t begin = rows[i] - rows[i] % kBlockRows;
+    const size_t end = std::min(begin + kBlockRows, codes_.size());
+    codes_.DecodeRange(begin, end, block);
+    for (; i < n && rows[i] < end; ++i) {
+      out[i] = dictionary_.ValueFor(ValueId(block[rows[i] - begin]));
+    }
+  }
 }
 
 template <typename T>
@@ -130,40 +153,22 @@ void DictionaryColumn<T>::Probe(const Value* lo, const Value* hi,
 }
 
 std::unique_ptr<AbstractColumn> BuildDictionaryColumn(
-    const ColumnDefinition& def, const std::vector<Value>& values) {
-  switch (def.type) {
-    case DataType::kInt32: {
-      std::vector<int32_t> typed;
-      typed.reserve(values.size());
-      for (const Value& v : values) typed.push_back(v.AsInt32());
-      return DictionaryColumn<int32_t>::Build(typed);
-    }
-    case DataType::kInt64: {
-      std::vector<int64_t> typed;
-      typed.reserve(values.size());
-      for (const Value& v : values) typed.push_back(v.AsInt64());
-      return DictionaryColumn<int64_t>::Build(typed);
-    }
-    case DataType::kFloat: {
-      std::vector<float> typed;
-      typed.reserve(values.size());
-      for (const Value& v : values) typed.push_back(v.AsFloat());
-      return DictionaryColumn<float>::Build(typed);
-    }
-    case DataType::kDouble: {
-      std::vector<double> typed;
-      typed.reserve(values.size());
-      for (const Value& v : values) typed.push_back(v.AsDouble());
-      return DictionaryColumn<double>::Build(typed);
-    }
-    case DataType::kString: {
-      std::vector<std::string> typed;
-      typed.reserve(values.size());
-      for (const Value& v : values) typed.push_back(v.AsString());
-      return DictionaryColumn<std::string>::Build(typed);
-    }
-  }
-  HYTAP_UNREACHABLE("invalid DataType");
+    const TypedColumn& values) {
+  return std::visit(
+      [](const auto& typed) -> std::unique_ptr<AbstractColumn> {
+        using T = typename std::decay_t<decltype(typed)>::value_type;
+        return DictionaryColumn<T>::Build(typed);
+      },
+      values);
+}
+
+size_t DictionaryMemoryUsage(const TypedColumn& values) {
+  return std::visit(
+      [](const auto& typed) {
+        using T = typename std::decay_t<decltype(typed)>::value_type;
+        return DictionaryColumn<T>::MemoryUsageFor(typed);
+      },
+      values);
 }
 
 template class DictionaryColumn<int32_t>;

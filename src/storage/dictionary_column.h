@@ -7,6 +7,7 @@
 #include "storage/bit_packed_vector.h"
 #include "storage/column.h"
 #include "storage/dictionary.h"
+#include "storage/typed_column.h"
 
 namespace hytap {
 
@@ -17,9 +18,15 @@ namespace hytap {
 template <typename T>
 class DictionaryColumn : public AbstractColumn {
  public:
-  /// Builds from raw values (the merge process produces these).
+  /// Builds from raw values (the merge process produces these): one sort
+  /// gives the dictionary and every row's code
+  /// (OrderPreservingDictionary::Encode).
   static std::unique_ptr<DictionaryColumn<T>> Build(
       const std::vector<T>& values);
+
+  /// MemoryUsage() of Build(values), without encoding: the footprint a_i of
+  /// a column that is not DRAM-resident.
+  static size_t MemoryUsageFor(const std::vector<T>& values);
 
   DataType type() const override;
   size_t size() const override { return codes_.size(); }
@@ -43,6 +50,10 @@ class DictionaryColumn : public AbstractColumn {
     return dictionary_.ValueFor(static_cast<ValueId>(codes_.Get(row)));
   }
 
+  /// The values of rows rows[0, n) (ascending) into out[0, n): codes are
+  /// unpacked a block at a time with DecodeRange, then looked up.
+  void Gather(const RowId* rows, size_t n, T* out) const;
+
   const OrderPreservingDictionary<T>& dictionary() const {
     return dictionary_;
   }
@@ -62,10 +73,12 @@ class DictionaryColumn : public AbstractColumn {
   BitPackedVector codes_;
 };
 
-/// Builds a dictionary column of the right dynamic type from boxed values
-/// (all values must share `def.type`).
+/// DictionaryColumn<T>::Build of a typed column's values.
 std::unique_ptr<AbstractColumn> BuildDictionaryColumn(
-    const ColumnDefinition& def, const std::vector<Value>& values);
+    const TypedColumn& values);
+
+/// DictionaryColumn<T>::MemoryUsageFor of a typed column's values.
+size_t DictionaryMemoryUsage(const TypedColumn& values);
 
 extern template class DictionaryColumn<int32_t>;
 extern template class DictionaryColumn<int64_t>;

@@ -1,7 +1,11 @@
 #ifndef HYTAP_STORAGE_ROW_LAYOUT_H_
 #define HYTAP_STORAGE_ROW_LAYOUT_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -34,6 +38,12 @@ class RowLayout {
 
   /// Data type stored in member slot `slot`.
   DataType slot_type(size_t slot) const { return slots_[slot].type; }
+  /// Every member slot's type, in member order.
+  std::vector<DataType> SlotTypes() const {
+    std::vector<DataType> types;
+    for (const Slot& s : slots_) types.push_back(s.type);
+    return types;
+  }
   /// Byte offset of member slot `slot` inside a row.
   size_t slot_offset(size_t slot) const { return slots_[slot].offset; }
 
@@ -56,6 +66,38 @@ class RowLayout {
 
   /// Deserializes the full row (member order).
   Row DeserializeRow(const uint8_t* src) const;
+
+  /// Unboxed SerializeFixed of one member slot: writes `value` (of the
+  /// slot's type) into slot `slot` of the row at `row`.
+  template <typename T>
+  void WriteSlot(size_t slot, const T& value, uint8_t* row) const {
+    const Slot& s = slots_[slot];
+    uint8_t* dest = row + s.offset;
+    if constexpr (std::is_same_v<T, std::string>) {
+      const size_t n = std::min(value.size(), s.width);
+      std::memcpy(dest, value.data(), n);
+      std::memset(dest + n, 0, s.width - n);
+    } else {
+      std::memcpy(dest, &value, sizeof(T));
+    }
+  }
+
+  /// Unboxed DeserializeSlot: the value (of the slot's type) in slot `slot`
+  /// of the row at `row`.
+  template <typename T>
+  T ReadSlot(const uint8_t* row, size_t slot) const {
+    const Slot& s = slots_[slot];
+    const uint8_t* src = row + s.offset;
+    if constexpr (std::is_same_v<T, std::string>) {
+      size_t len = s.width;  // stored zero-padded; trim trailing NULs
+      while (len > 0 && src[len - 1] == 0) --len;
+      return std::string(reinterpret_cast<const char*>(src), len);
+    } else {
+      T value;
+      std::memcpy(&value, src, sizeof(T));
+      return value;
+    }
+  }
 
  private:
   struct Slot {

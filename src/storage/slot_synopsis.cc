@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "common/assert.h"
 
@@ -11,10 +12,6 @@ namespace {
 
 bool IsIntegral(DataType type) {
   return type == DataType::kInt32 || type == DataType::kInt64;
-}
-
-bool IsFloating(DataType type) {
-  return type == DataType::kFloat || type == DataType::kDouble;
 }
 
 int64_t AsInt64(const Value& v, DataType type) {
@@ -28,49 +25,56 @@ double AsDouble(const Value& v, DataType type) {
 }  // namespace
 
 SlotSynopsis::SlotSynopsis(const RowLayout& layout,
-                           const std::vector<Row>& rows) {
+                           const std::vector<TypedColumn>& columns) {
   const size_t slots = layout.member_count();
-  const size_t pages = layout.PageCountFor(rows.size());
+  HYTAP_ASSERT(columns.size() == slots, "column count does not match layout");
+  const size_t rows_per_page = layout.rows_per_page();
   types_.resize(slots);
   mins_.resize(slots);
   maxs_.resize(slots);
   for (size_t slot = 0; slot < slots; ++slot) {
-    const DataType type = layout.slot_type(slot);
-    types_[slot] = type;
-    if (!IsIntegral(type) && !IsFloating(type)) continue;  // strings: none
-    Bound init_min, init_max;
-    if (IsIntegral(type)) {
-      init_min.i = std::numeric_limits<int64_t>::max();
-      init_max.i = std::numeric_limits<int64_t>::min();
-    } else {
-      init_min.d = std::numeric_limits<double>::infinity();
-      init_max.d = -std::numeric_limits<double>::infinity();
-    }
-    mins_[slot].assign(pages, init_min);
-    maxs_[slot].assign(pages, init_max);
-  }
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const size_t page = r / layout.rows_per_page();
-    const Row& row = rows[r];
-    HYTAP_ASSERT(row.size() == slots, "row arity does not match layout");
-    for (size_t slot = 0; slot < slots; ++slot) {
-      if (mins_[slot].empty()) continue;
-      if (IsIntegral(types_[slot])) {
-        const int64_t v = AsInt64(row[slot], types_[slot]);
-        if (v < mins_[slot][page].i) mins_[slot][page].i = v;
-        if (v > maxs_[slot][page].i) maxs_[slot][page].i = v;
-      } else {
-        const double v = AsDouble(row[slot], types_[slot]);
-        if (std::isnan(v)) {
-          // NaN satisfies every range filter (!(v < lo) && !(hi < v)), so
-          // a page holding one must never be pruned.
-          mins_[slot][page].d = -std::numeric_limits<double>::infinity();
-          maxs_[slot][page].d = std::numeric_limits<double>::infinity();
-        }
-        if (v < mins_[slot][page].d) mins_[slot][page].d = v;
-        if (v > maxs_[slot][page].d) maxs_[slot][page].d = v;
-      }
-    }
+    types_[slot] = layout.slot_type(slot);
+    std::visit(
+        [&](const auto& values) {
+          using T = typename std::decay_t<decltype(values)>::value_type;
+          if constexpr (!std::is_same_v<T, std::string>) {  // strings: none
+            // Bounds in the widened domain: int64 or double.
+            using W = std::conditional_t<std::is_integral_v<T>, int64_t,
+                                         double>;
+            using Limits = std::numeric_limits<W>;
+            auto field = [](Bound& b) -> W& {
+              if constexpr (std::is_integral_v<T>) {
+                return b.i;
+              } else {
+                return b.d;
+              }
+            };
+            Bound init_min, init_max;
+            field(init_min) = Limits::has_infinity ? Limits::infinity()
+                                                   : Limits::max();
+            field(init_max) = Limits::has_infinity ? -Limits::infinity()
+                                                   : Limits::min();
+            std::vector<Bound>& mins = mins_[slot];
+            std::vector<Bound>& maxs = maxs_[slot];
+            mins.assign(layout.PageCountFor(values.size()), init_min);
+            maxs.assign(mins.size(), init_max);
+            for (size_t r = 0; r < values.size(); ++r) {
+              const size_t page = r / rows_per_page;
+              const W v = values[r];
+              if constexpr (std::is_floating_point_v<T>) {
+                // NaN satisfies every range filter (!(v < lo) && !(hi < v)),
+                // so a page holding one must never be pruned.
+                if (std::isnan(v)) {
+                  field(mins[page]) = -Limits::infinity();
+                  field(maxs[page]) = Limits::infinity();
+                }
+              }
+              if (v < field(mins[page])) field(mins[page]) = v;
+              if (v > field(maxs[page])) field(maxs[page]) = v;
+            }
+          }
+        },
+        columns[slot]);
   }
 }
 

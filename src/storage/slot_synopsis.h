@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "storage/row_layout.h"
+#include "storage/typed_column.h"
 #include "storage/value.h"
 
 namespace hytap {
@@ -27,9 +28,11 @@ class SlotSynopsis {
  public:
   SlotSynopsis() = default;
 
-  /// Builds bounds from the rows about to be serialized (member order, as
-  /// passed to the Sscg constructor).
-  SlotSynopsis(const RowLayout& layout, const std::vector<Row>& rows);
+  /// Builds bounds from the values about to be written: columns[s] holds
+  /// member slot s's values in row order, as passed to the Sscg
+  /// constructor.
+  SlotSynopsis(const RowLayout& layout,
+               const std::vector<TypedColumn>& columns);
 
   /// True if `slot` carries bounds (numeric, non-empty group).
   bool has_slot(size_t slot) const {

@@ -147,22 +147,37 @@ void AccountFetchError(PageId id, const Status& status, BufferManager* buffers,
 
 }  // namespace
 
-Sscg::Sscg(RowLayout layout, const std::vector<Row>& rows,
+Sscg::Sscg(RowLayout layout, const std::vector<TypedColumn>& columns,
            SecondaryStore* store, uint64_t* out_write_ns)
     : layout_(std::move(layout)),
-      synopsis_(layout_, rows),
-      row_count_(rows.size()) {
+      synopsis_(layout_, columns),
+      row_count_(columns.empty() ? 0 : TypedColumnSize(columns[0])) {
   HYTAP_ASSERT(store != nullptr, "SSCG requires a store");
-  const size_t pages = layout_.PageCountFor(rows.size());
+  for (size_t slot = 0; slot < columns.size(); ++slot) {
+    HYTAP_ASSERT(TypedColumnType(columns[slot]) == layout_.slot_type(slot),
+                 "SSCG member column type does not match its slot");
+    HYTAP_ASSERT(TypedColumnSize(columns[slot]) == row_count_,
+                 "SSCG member columns differ in length");
+  }
+  const size_t pages = layout_.PageCountFor(row_count_);
+  const size_t rows_per_page = layout_.rows_per_page();
+  const size_t row_width = layout_.row_width();
   page_ids_.reserve(pages);
   SecondaryStore::Page page;
   for (size_t p = 0; p < pages; ++p) {
     page.fill(0);
-    const size_t first_row = p * layout_.rows_per_page();
-    const size_t last_row =
-        std::min(rows.size(), first_row + layout_.rows_per_page());
-    for (size_t r = first_row; r < last_row; ++r) {
-      layout_.SerializeRow(rows[r], page.data() + layout_.OffsetInPage(r));
+    const size_t first_row = p * rows_per_page;
+    const size_t last_row = std::min(row_count_, first_row + rows_per_page);
+    // Slot by slot: each member column is read sequentially.
+    for (size_t slot = 0; slot < columns.size(); ++slot) {
+      std::visit(
+          [&](const auto& values) {
+            uint8_t* row = page.data();
+            for (size_t r = first_row; r < last_row; ++r, row += row_width) {
+              layout_.WriteSlot(slot, values[r], row);
+            }
+          },
+          columns[slot]);
     }
     const PageId id = store->AllocatePage();
     store->WritePage(id, page);

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "storage/row_layout.h"
 #include "storage/slot_synopsis.h"
+#include "storage/typed_column.h"
 #include "tiering/buffer_manager.h"
 #include "tiering/secondary_store.h"
 
@@ -81,10 +82,11 @@ struct IoStats {
 /// (the cost scales with the group width — Fig. 9a).
 class Sscg {
  public:
-  /// Writes `rows.size()` rows (member order per RowLayout) to `store`.
+  /// Writes the group to `store`: columns[s] holds member slot s's values
+  /// (of the slot's type) in row order, every column the same length.
   /// Write timing is returned via `out_write_ns` if non-null.
-  Sscg(RowLayout layout, const std::vector<Row>& rows, SecondaryStore* store,
-       uint64_t* out_write_ns = nullptr);
+  Sscg(RowLayout layout, const std::vector<TypedColumn>& columns,
+       SecondaryStore* store, uint64_t* out_write_ns = nullptr);
 
   const RowLayout& layout() const { return layout_; }
   size_t row_count() const { return row_count_; }

@@ -1,6 +1,8 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <numeric>
+#include <type_traits>
 
 #include "common/assert.h"
 #include "storage/dictionary_column.h"
@@ -29,17 +31,18 @@ void Table::BulkLoad(const std::vector<Row>& rows) {
   HYTAP_ASSERT(!bulk_loaded_, "BulkLoad may only run once");
   HYTAP_ASSERT(delta_row_count() == 0, "BulkLoad must precede inserts");
   bulk_loaded_ = true;
-  std::vector<std::vector<Value>> columns(schema_.size());
-  for (auto& column : columns) column.reserve(rows.size());
-  for (const Row& row : rows) {
-    HYTAP_ASSERT(row.size() == schema_.size(), "row arity mismatch");
-    for (size_t c = 0; c < schema_.size(); ++c) columns[c].push_back(row[c]);
+  std::vector<DataType> types;
+  for (const auto& def : schema_) types.push_back(def.type);
+  std::vector<std::optional<TypedColumn>> columns;
+  for (TypedColumn& column : TransposeRows(types, rows)) {
+    columns.emplace_back(std::move(column));
   }
-  main_row_count_ = rows.size();
-  // All columns start DRAM-resident, so no SSCG is written and the rebuild
-  // cannot fail.
-  const Status status = RebuildMain(columns, placement_, nullptr);
-  HYTAP_ASSERT(status.ok(), "all-DRAM bulk load cannot fail");
+  // All columns start DRAM-resident, so no SSCG is written: the rebuild
+  // fails only on a NaN, which an MRC cannot hold.
+  bool committed = false;
+  const Status status = RebuildMain(&columns, placement_,
+                                    /*data_changed=*/true, nullptr, &committed);
+  HYTAP_ASSERT(status.ok(), status.message().c_str());
   main_end_tids_.assign(main_row_count_, kMaxTransactionId);
 }
 
@@ -134,25 +137,34 @@ StatusOr<Row> Table::ReconstructRow(RowId row, uint32_t queue_depth,
   return result;
 }
 
-std::vector<Value> Table::CollectColumnValues(ColumnId column) const {
-  std::vector<Value> values;
-  values.reserve(main_row_count_);
-  if (placement_[column]) {
-    const AbstractColumn* mrc = mrc_columns_[column].get();
-    for (RowId r = 0; r < main_row_count_; ++r) {
-      values.push_back(mrc->GetValue(r));
-    }
-  } else {
-    HYTAP_ASSERT(sscg_ != nullptr && store_ != nullptr,
-                 "SSCG-placed column without SSCG/store");
-    const int slot = sscg_->layout().SlotOf(column);
-    HYTAP_ASSERT(slot >= 0, "column not a member of the SSCG");
-    for (RowId r = 0; r < main_row_count_; ++r) {
-      values.push_back(
-          sscg_->RawValue(r, static_cast<size_t>(slot), *store_));
-    }
-  }
-  return values;
+TypedColumn Table::GatherMain(ColumnId column,
+                              const std::vector<RowId>& rows) const {
+  TypedColumn out = MakeTypedColumn(schema_[column].type, rows.size());
+  std::visit(
+      [&](auto& values) {
+        using T = typename std::decay_t<decltype(values)>::value_type;
+        if (placement_[column]) {
+          static_cast<const DictionaryColumn<T>&>(*mrc_columns_[column])
+              .Gather(rows.data(), rows.size(), values.data());
+          return;
+        }
+        HYTAP_ASSERT(sscg_ != nullptr && store_ != nullptr,
+                     "SSCG-placed column without SSCG/store");
+        const int slot = sscg_->layout().SlotOf(column);
+        HYTAP_ASSERT(slot >= 0, "column not a member of the SSCG");
+        for (size_t i = 0; i < rows.size(); ++i) {
+          values[i] = sscg_->layout().ReadSlot<T>(
+              sscg_->RawTuple(rows[i], *store_), size_t(slot));
+        }
+      },
+      out);
+  return out;
+}
+
+std::vector<RowId> Table::MainRows() const {
+  std::vector<RowId> rows(main_row_count_);
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  return rows;
 }
 
 Status Table::VerifySscgPages() const {
@@ -165,58 +177,99 @@ Status Table::VerifySscgPages() const {
   return Status::Ok();
 }
 
-Status Table::RebuildMain(const std::vector<std::vector<Value>>& columns,
-                          const std::vector<bool>& in_dram,
-                          uint64_t* migrated_bytes) {
-  HYTAP_ASSERT(columns.size() == schema_.size(), "column count mismatch");
-  std::vector<ColumnId> sscg_members;
+Status Table::RebuildMain(std::vector<std::optional<TypedColumn>>* columns,
+                          const std::vector<bool>& in_dram, bool data_changed,
+                          uint64_t* migrated_bytes, bool* committed) {
+  std::vector<std::optional<TypedColumn>>& values = *columns;
+  HYTAP_ASSERT(values.size() == schema_.size(), "column count mismatch");
+  HYTAP_ASSERT(in_dram.size() == schema_.size(), "placement arity mismatch");
+  *committed = false;
+  size_t rows = main_row_count_;
   for (ColumnId c = 0; c < schema_.size(); ++c) {
-    // Build the dictionary-encoded representation for every column: kept as
-    // the MRC when DRAM-resident, otherwise only measured so the selection
-    // model knows the column's DRAM footprint a_i.
-    auto mrc = BuildDictionaryColumn(schema_[c], columns[c]);
-    column_dram_bytes_[c] = mrc->MemoryUsage();
-    if (in_dram[c]) {
-      mrc_columns_[c] = std::move(mrc);
+    if (values[c].has_value()) {
+      rows = TypedColumnSize(*values[c]);
     } else {
-      mrc_columns_[c].reset();
-      sscg_members.push_back(c);
+      HYTAP_ASSERT(placement_[c] && in_dram[c],
+                   "only a column staying in DRAM may keep its MRC");
     }
   }
+  for (ColumnId c = 0; c < schema_.size(); ++c) {
+    if (in_dram[c] && values[c].has_value() && HasNaN(*values[c])) {
+      return Status::InvalidArgument(
+          "column " + schema_[c].name +
+          " holds a NaN, which an MRC cannot encode");
+    }
+  }
+
+  // Encode the DRAM-bound columns that need it; measure the footprint of
+  // SSCG-bound ones only when their values changed.
+  std::vector<std::unique_ptr<AbstractColumn>> built(schema_.size());
+  std::vector<size_t> bytes = column_dram_bytes_;
+  std::vector<ColumnId> members;
+  for (ColumnId c = 0; c < schema_.size(); ++c) {
+    if (!values[c].has_value()) continue;
+    if (in_dram[c]) {
+      built[c] = BuildDictionaryColumn(*values[c]);
+      bytes[c] = built[c]->MemoryUsage();
+    } else {
+      if (data_changed) bytes[c] = DictionaryMemoryUsage(*values[c]);
+      members.push_back(c);
+    }
+  }
+  std::vector<bool> placement = in_dram;
+  std::unique_ptr<Sscg> sscg;
+  Status verify = Status::Ok();
+  if (!members.empty()) {
+    HYTAP_ASSERT(store_ != nullptr,
+                 "evicting columns requires a secondary store");
+    // The member columns are lent to the group writer, then returned.
+    std::vector<TypedColumn> slots;
+    for (ColumnId c : members) slots.push_back(std::move(*values[c]));
+    sscg = std::make_unique<Sscg>(RowLayout(schema_, members), slots, store_);
+    for (size_t slot = 0; slot < members.size(); ++slot) {
+      values[members[slot]] = std::move(slots[slot]);
+    }
+    // Verify-after-write: read back every freshly written page's checksum
+    // before the DRAM copy is dropped. A silently corrupted eviction would
+    // otherwise only surface at query time, when the data is unrecoverable.
+    for (PageId id : sscg->page_ids()) {
+      verify = store_->VerifyPage(id);
+      if (!verify.ok()) break;
+    }
+  }
+  if (!verify.ok()) {
+    // Abort the eviction: the values are still in memory, so every member
+    // becomes an MRC — its current one if the data did not change.
+    for (ColumnId c : members) {
+      if (HasNaN(*values[c])) return verify;
+    }
+    for (ColumnId c : members) {
+      if (!data_changed && placement_[c]) continue;
+      built[c] = BuildDictionaryColumn(*values[c]);
+      bytes[c] = built[c]->MemoryUsage();
+    }
+    placement.assign(schema_.size(), true);
+    sscg.reset();
+  }
+
   if (migrated_bytes != nullptr) {
     for (ColumnId c = 0; c < schema_.size(); ++c) {
-      const bool was_dram = placement_[c];
-      if (was_dram != in_dram[c]) *migrated_bytes += column_dram_bytes_[c];
+      if (placement_[c] != in_dram[c]) *migrated_bytes += bytes[c];
     }
   }
-  placement_ = in_dram;
-  if (sscg_members.empty()) {
-    sscg_.reset();
-    return Status::Ok();
+  for (ColumnId c = 0; c < schema_.size(); ++c) {
+    if (built[c] != nullptr) {
+      mrc_columns_[c] = std::move(built[c]);
+    } else if (!placement[c]) {
+      mrc_columns_[c].reset();
+    }
   }
-  HYTAP_ASSERT(store_ != nullptr,
-               "evicting columns requires a secondary store");
-  RowLayout layout(schema_, sscg_members);
-  std::vector<Row> rows(main_row_count_);
-  for (RowId r = 0; r < main_row_count_; ++r) {
-    Row& row = rows[r];
-    row.reserve(sscg_members.size());
-    for (ColumnId c : sscg_members) row.push_back(columns[c][r]);
-  }
-  sscg_ = std::make_unique<Sscg>(std::move(layout), rows, store_);
-  // Verify-after-write: read back every freshly written page's checksum
-  // before the DRAM copy is dropped. A silently corrupted eviction would
-  // otherwise only surface at query time, when the data is unrecoverable.
-  Status verify = VerifySscgPages();
-  if (!verify.ok()) {
-    // Abort the eviction: the column values are still in memory, so rebuild
-    // with everything DRAM-resident (cannot fail — writes no pages).
-    const std::vector<bool> all_dram(schema_.size(), true);
-    const Status fallback = RebuildMain(columns, all_dram, nullptr);
-    HYTAP_ASSERT(fallback.ok(), "all-DRAM rebuild cannot fail");
-    return verify;
-  }
-  return Status::Ok();
+  main_row_count_ = rows;
+  column_dram_bytes_ = std::move(bytes);
+  placement_ = std::move(placement);
+  sscg_ = std::move(sscg);
+  *committed = true;
+  return verify;
 }
 
 Status Table::SetPlacement(const std::vector<bool>& in_dram,
@@ -235,19 +288,17 @@ Status Table::SetPlacement(const std::vector<bool>& in_dram,
   // into fresh MRCs.
   Status verify = VerifySscgPages();
   if (!verify.ok()) return verify;
-  std::vector<std::vector<Value>> columns(schema_.size());
+  // Gather only the columns whose MRC is not kept: those bound for the SSCG
+  // (which is rewritten as a whole) and those moving into DRAM.
+  const std::vector<RowId> rows = MainRows();
+  std::vector<std::optional<TypedColumn>> columns(schema_.size());
   for (ColumnId c = 0; c < schema_.size(); ++c) {
-    columns[c] = CollectColumnValues(c);
+    if (placement_[c] && in_dram[c]) continue;
+    columns[c] = GatherMain(c, rows);
   }
-  const Status rebuild = RebuildMain(columns, in_dram, migrated_bytes);
-  // Even on a failed (aborted, now all-DRAM) eviction the indexes and
-  // statistics must match the new main partition.
-  RebuildIndexes();
-  if (statistics_ != nullptr) {
-    statistics_ = std::make_unique<TableStatistics>(
-        TableStatistics::Build(schema_, columns, statistics_buckets_));
-  }
-  return rebuild;
+  bool committed = false;
+  return RebuildMain(&columns, in_dram, /*data_changed=*/false,
+                     migrated_bytes, &committed);
 }
 
 Status Table::MergeDelta() {
@@ -260,40 +311,42 @@ Status Table::MergeDelta() {
   // (the table, delta included, is left untouched).
   Status verify = VerifySscgPages();
   if (!verify.ok()) return verify;
-  std::vector<std::vector<Value>> columns(schema_.size());
-  size_t new_count = 0;
+  std::vector<RowId> main_rows;
+  main_rows.reserve(main_row_count_);
   for (RowId r = 0; r < main_row_count_; ++r) {
-    if (txns_->IsDeleted(main_end_tids_[r], merge_view)) continue;
-    for (ColumnId c = 0; c < schema_.size(); ++c) {
-      // Raw gather: main rows come from MRC or SSCG raw pages.
-      if (placement_[c]) {
-        columns[c].push_back(mrc_columns_[c]->GetValue(r));
-      } else {
-        const int slot = sscg_->layout().SlotOf(c);
-        columns[c].push_back(
-            sscg_->RawValue(r, static_cast<size_t>(slot), *store_));
-      }
+    if (!txns_->IsDeleted(main_end_tids_[r], merge_view)) {
+      main_rows.push_back(r);
     }
-    ++new_count;
   }
-  for (size_t d = 0; d < delta_row_count(); ++d) {
+  std::vector<RowId> delta_rows;
+  for (RowId d = 0; d < delta_row_count(); ++d) {
     if (!txns_->IsVisible(delta_begin_tids_[d], merge_view)) continue;
     if (txns_->IsDeleted(delta_end_tids_[d], merge_view)) continue;
-    for (ColumnId c = 0; c < schema_.size(); ++c) {
-      columns[c].push_back(delta_columns_[c]->GetValue(d));
-    }
-    ++new_count;
+    delta_rows.push_back(d);
   }
-  main_row_count_ = new_count;
+  std::vector<std::optional<TypedColumn>> columns(schema_.size());
+  for (ColumnId c = 0; c < schema_.size(); ++c) {
+    columns[c] = GatherMain(c, main_rows);
+    std::visit(
+        [&](auto& values) {
+          using T = typename std::decay_t<decltype(values)>::value_type;
+          const auto& delta =
+              static_cast<const ValueColumn<T>&>(*delta_columns_[c]);
+          values.reserve(values.size() + delta_rows.size());
+          for (RowId d : delta_rows) values.push_back(delta.Get(d));
+        },
+        *columns[c]);
+  }
   // On a failed SSCG rewrite the rebuild falls back to all-DRAM: the merge
   // itself still completes (the gathered values are authoritative), only
   // the eviction is lost — report that via the returned status.
-  const Status rebuild = RebuildMain(columns, placement_, nullptr);
-  RebuildIndexes();
-  if (statistics_ != nullptr) {
-    statistics_ = std::make_unique<TableStatistics>(
-        TableStatistics::Build(schema_, columns, statistics_buckets_));
-  }
+  const std::vector<bool> placement = placement_;
+  bool committed = false;
+  const Status rebuild = RebuildMain(&columns, placement,
+                                     /*data_changed=*/true, nullptr,
+                                     &committed);
+  if (!committed) return rebuild;
+  RebuildIndexesAndStatistics(columns);
   main_end_tids_.assign(main_row_count_, kMaxTransactionId);
   // Reset the delta partition.
   delta_columns_.clear();
@@ -304,6 +357,20 @@ Status Table::MergeDelta() {
   delta_end_tids_.clear();
   return rebuild;
 }
+
+namespace {
+
+std::unique_ptr<MainIndex> MakeIndex(
+    const std::vector<ColumnId>& columns, const std::vector<DataType>& types,
+    const std::vector<std::vector<Value>>& values) {
+  if (columns.size() == 1) {
+    return std::make_unique<SingleColumnIndex>(columns[0], types[0],
+                                               values[0]);
+  }
+  return std::make_unique<CompositeIndex>(columns, types, values);
+}
+
+}  // namespace
 
 Status Table::CreateIndex(const std::vector<ColumnId>& columns) {
   if (columns.empty()) {
@@ -316,47 +383,43 @@ Status Table::CreateIndex(const std::vector<ColumnId>& columns) {
   }
   index_definitions_.push_back(columns);
   // Build just the new index (others are current).
+  const std::vector<RowId> rows = MainRows();
   std::vector<std::vector<Value>> values;
-  values.reserve(columns.size());
   std::vector<DataType> types;
   for (ColumnId c : columns) {
-    values.push_back(CollectColumnValues(c));
+    values.push_back(BoxColumn(GatherMain(c, rows)));
     types.push_back(schema_[c].type);
   }
-  if (columns.size() == 1) {
-    indexes_.push_back(std::make_unique<SingleColumnIndex>(
-        columns[0], types[0], values[0]));
-  } else {
-    indexes_.push_back(
-        std::make_unique<CompositeIndex>(columns, types, values));
-  }
+  indexes_.push_back(MakeIndex(columns, types, values));
   return Status::Ok();
 }
 
-void Table::RebuildIndexes() {
+void Table::RebuildIndexesAndStatistics(
+    const std::vector<std::optional<TypedColumn>>& columns) {
   indexes_.clear();
-  for (const auto& columns : index_definitions_) {
+  for (const auto& index_columns : index_definitions_) {
     std::vector<std::vector<Value>> values;
     std::vector<DataType> types;
-    for (ColumnId c : columns) {
-      values.push_back(CollectColumnValues(c));
+    for (ColumnId c : index_columns) {
+      values.push_back(BoxColumn(*columns[c]));
       types.push_back(schema_[c].type);
     }
-    if (columns.size() == 1) {
-      indexes_.push_back(std::make_unique<SingleColumnIndex>(
-          columns[0], types[0], values[0]));
-    } else {
-      indexes_.push_back(
-          std::make_unique<CompositeIndex>(columns, types, values));
-    }
+    indexes_.push_back(MakeIndex(index_columns, types, values));
+  }
+  if (statistics_ != nullptr) {
+    std::vector<std::vector<Value>> values;
+    for (const auto& column : columns) values.push_back(BoxColumn(*column));
+    statistics_ = std::make_unique<TableStatistics>(
+        TableStatistics::Build(schema_, values, statistics_buckets_));
   }
 }
 
 void Table::BuildStatistics(size_t bucket_count) {
   statistics_buckets_ = bucket_count;
+  const std::vector<RowId> rows = MainRows();
   std::vector<std::vector<Value>> columns(schema_.size());
   for (ColumnId c = 0; c < schema_.size(); ++c) {
-    columns[c] = CollectColumnValues(c);
+    columns[c] = BoxColumn(GatherMain(c, rows));
   }
   statistics_ = std::make_unique<TableStatistics>(
       TableStatistics::Build(schema_, columns, bucket_count));

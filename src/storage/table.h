@@ -2,6 +2,7 @@
 #define HYTAP_STORAGE_TABLE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "storage/column.h"
 #include "storage/index.h"
 #include "storage/sscg.h"
+#include "storage/typed_column.h"
 #include "storage/value_column.h"
 #include "tiering/buffer_manager.h"
 #include "tiering/secondary_store.h"
@@ -52,8 +54,9 @@ class Table {
   size_t row_count() const { return main_row_count_ + delta_row_count(); }
 
   /// Loads `rows` directly into the main partition as committed data
-  /// (begin stamp 0). All columns start DRAM-resident. Callable once,
-  /// before any inserts.
+  /// (begin stamp 0). All columns start DRAM-resident, so a NaN (which an
+  /// MRC cannot hold) aborts the process with a message naming its column.
+  /// Callable once, before any inserts.
   void BulkLoad(const std::vector<Row>& rows);
 
   /// Appends a row to the delta partition, stamped with `txn`.
@@ -82,7 +85,10 @@ class Table {
   /// Preserves the current placement (SSCG is rewritten if present).
   /// Returns kDataLoss (table unchanged) if the current SSCG pages fail
   /// their checksums, or if the rewritten SSCG fails read-back verification
-  /// (then the merge completes with all columns left DRAM-resident).
+  /// (then the merge completes with all columns left DRAM-resident, unless
+  /// an SSCG column holds a NaN: then the table is left unchanged).
+  /// Returns kInvalidArgument naming the column (table unchanged) if a
+  /// merged NaN would land in an MRC.
   Status MergeDelta();
 
   /// Moves columns between DRAM and the SSCG: `in_dram[i]` selects the new
@@ -90,7 +96,11 @@ class Table {
   /// migration volume in `migrated_bytes` if non-null. Evictions are
   /// verified by read-back checksum: if any freshly written SSCG page fails
   /// verification, the eviction is aborted, the table is left fully
-  /// DRAM-resident and consistent, and kDataLoss is returned.
+  /// DRAM-resident and consistent (unchanged if an SSCG column holds a NaN),
+  /// and kDataLoss is returned. Moving a column that holds a NaN into DRAM
+  /// returns kInvalidArgument naming it and leaves the table unchanged. The
+  /// data does not change, so columns staying in DRAM keep their MRC, every
+  /// footprint is kept, and indexes and statistics are not rebuilt.
   Status SetPlacement(const std::vector<bool>& in_dram,
                       uint64_t* migrated_bytes = nullptr);
 
@@ -158,17 +168,32 @@ class Table {
   TransactionManager* txns() const { return txns_; }
 
  private:
-  /// Collects the full (visible, committed) value sequence of a column from
-  /// its current location, bypassing timing.
-  std::vector<Value> CollectColumnValues(ColumnId column) const;
+  /// Column `column`'s main-partition values of rows `rows` (ascending), in
+  /// that order, unboxed and timing-free: MRC codes decoded a block at a
+  /// time, SSCG slots read from raw pages.
+  TypedColumn GatherMain(ColumnId column, const std::vector<RowId>& rows) const;
 
-  /// Rebuilds main-partition structures from explicit column contents.
-  /// If an SSCG is written, every page is verified by read-back checksum;
-  /// on a verify failure the rebuild falls back to all columns
-  /// DRAM-resident (the values are still at hand) and returns kDataLoss.
-  Status RebuildMain(const std::vector<std::vector<Value>>& columns,
-                     const std::vector<bool>& in_dram,
-                     uint64_t* migrated_bytes);
+  /// Every main row id, ascending.
+  std::vector<RowId> MainRows() const;
+
+  /// Rebuilds the main partition for placement `in_dram` (all work happens
+  /// before anything is committed). columns[c] holds column c's new main
+  /// values; a column without them must be DRAM-resident before and after
+  /// and keeps its MRC. DRAM-bound columns are encoded, SSCG-bound ones
+  /// written as one group whose pages are verified by read-back checksum.
+  /// `data_changed` false keeps every footprint (the values did not change,
+  /// so neither did their MRC size); true measures the SSCG-bound ones.
+  /// Sets `*committed` and returns:
+  ///  - Ok, committed;
+  ///  - InvalidArgument naming the column, not committed, if a NaN would go
+  ///    into an MRC (its code-range scans cannot express that NaN satisfies
+  ///    every range, as the delta and SSCG filters do);
+  ///  - the verify error, committed with every column DRAM-resident (the
+  ///    values are still at hand) — or not committed when an SSCG-bound
+  ///    column holds a NaN, since that column has no MRC to fall back to.
+  Status RebuildMain(std::vector<std::optional<TypedColumn>>* columns,
+                     const std::vector<bool>& in_dram, bool data_changed,
+                     uint64_t* migrated_bytes, bool* committed);
 
   /// Recomputes the checksum of every current SSCG page (kDataLoss on the
   /// first mismatch). Guards raw gathers (merge, placement change) against
@@ -181,8 +206,10 @@ class Table {
   SecondaryStore* store_;
   BufferManager* buffers_;
 
-  /// Rebuilds every registered index from current main-partition contents.
-  void RebuildIndexes();
+  /// Rebuilds every registered index, and the statistics if built, from
+  /// the main partition's values (columns[c] holds column c's).
+  void RebuildIndexesAndStatistics(
+      const std::vector<std::optional<TypedColumn>>& columns);
 
   // --- main partition ---
   size_t main_row_count_ = 0;

@@ -136,8 +136,9 @@ std::vector<Row> ClusteredRows(size_t rows, size_t width) {
 TEST(DataSkippingTest, SscgSynopsisPrunesPages) {
   const size_t rows = 20000;
   SecondaryStore store(DeviceKind::kXpoint);
-  Sscg sscg(RowLayout(GroupSchema(8), {0, 1, 2, 3, 4, 5, 6, 7}),
-            ClusteredRows(rows, 8), &store);
+  const RowLayout layout(GroupSchema(8), {0, 1, 2, 3, 4, 5, 6, 7});
+  Sscg sscg(layout, TransposeRows(layout.SlotTypes(), ClusteredRows(rows, 8)),
+            &store);
   BufferManager buffers(&store, 8);
   const Value lo(int32_t{5000}), hi(int32_t{5019});
 
@@ -176,7 +177,8 @@ TEST(DataSkippingTest, StringSlotsNeverPrune) {
                                                 std::to_string(r % 7))});
   }
   SecondaryStore store(DeviceKind::kXpoint);
-  Sscg sscg(RowLayout(schema, {0, 1}), data, &store);
+  const RowLayout layout(schema, {0, 1});
+  Sscg sscg(layout, TransposeRows(layout.SlotTypes(), data), &store);
   BufferManager buffers(&store, 8);
   const Value lo(std::string("v3")), hi(std::string("v3"));
   PositionList out;
@@ -193,8 +195,9 @@ TEST(DataSkippingTest, StringSlotsNeverPrune) {
 TEST(DataSkippingTest, ScanSlotPagesRestrictsRange) {
   const size_t rows = 20000;
   SecondaryStore store(DeviceKind::kXpoint);
-  Sscg sscg(RowLayout(GroupSchema(8), {0, 1, 2, 3, 4, 5, 6, 7}),
-            ClusteredRows(rows, 8), &store);
+  const RowLayout layout(GroupSchema(8), {0, 1, 2, 3, 4, 5, 6, 7});
+  Sscg sscg(layout, TransposeRows(layout.SlotTypes(), ClusteredRows(rows, 8)),
+            &store);
   BufferManager buffers(&store, 8);
   const size_t per_page = sscg.layout().rows_per_page();
 

@@ -90,11 +90,9 @@ TEST(DictionaryColumnTest, Doubles) {
   EXPECT_EQ(out, (PositionList{0, 2, 3}));
 }
 
-TEST(DictionaryColumnTest, BuildBoxedDispatch) {
-  ColumnDefinition def;
-  def.type = DataType::kInt64;
-  std::vector<Value> values{Value(int64_t{10}), Value(int64_t{20})};
-  auto col = BuildDictionaryColumn(def, values);
+TEST(DictionaryColumnTest, BuildTypedDispatch) {
+  const TypedColumn values = std::vector<int64_t>{10, 20};
+  auto col = BuildDictionaryColumn(values);
   EXPECT_EQ(col->type(), DataType::kInt64);
   EXPECT_EQ(col->GetValue(1), Value(int64_t{20}));
 }

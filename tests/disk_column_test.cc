@@ -121,7 +121,8 @@ TEST_F(DiskColumnTest, WideTupleReconstructionMuchWorseThanSscg) {
   // SSCG over the same data.
   std::vector<ColumnId> members;
   for (ColumnId c = 0; c < attrs; ++c) members.push_back(c);
-  Sscg sscg(RowLayout(schema, members), data, &store_);
+  const RowLayout layout(schema, members);
+  Sscg sscg(layout, TransposeRows(layout.SlotTypes(), data), &store_);
 
   IoStats disk_io, sscg_io;
   BufferManager cold1(&store_, 4), cold2(&store_, 4);

@@ -734,5 +734,52 @@ TEST(MaterializeEquivalenceTest, ReconstructRowMatchesPerCellReads) {
   }
 }
 
+// MergeDelta of the wide table: its delta carries NaN, -0.0 and +0.0 into
+// SSCG column 2 (written bit for bit) and signed zeros into MRC column 4.
+// Every WideQueries result is the same before and after the merge.
+TEST(MaterializeEquivalenceTest, MergeKeepsWideQueryResults) {
+  const std::vector<Query> queries = WideQueries();
+  for (uint32_t threads : {1u, 4u}) {
+    WideInstance instance(8, std::nullopt);
+    QueryExecutor executor(&instance.table);
+    auto run = [&] {
+      std::vector<QueryResult> results;
+      Transaction txn = instance.txns.Begin();
+      for (const Query& query : queries) {
+        results.push_back(executor.Execute(txn, query, threads));
+      }
+      instance.txns.Abort(&txn);
+      return results;
+    };
+    const std::vector<QueryResult> before = run();
+    ASSERT_TRUE(instance.table.MergeDelta().ok());
+    ASSERT_EQ(instance.table.main_row_count(), kWideMainRows + kWideDeltaRows);
+    const std::vector<QueryResult> after = run();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " query=" + std::to_string(q);
+      ASSERT_TRUE(before[q].status.ok()) << what;
+      ASSERT_TRUE(after[q].status.ok()) << what;
+      EXPECT_EQ(before[q].positions, after[q].positions) << what;
+      ASSERT_EQ(before[q].rows.size(), after[q].rows.size()) << what;
+      for (size_t i = 0; i < before[q].rows.size(); ++i) {
+        ASSERT_EQ(before[q].rows[i].size(), after[q].rows[i].size()) << what;
+        for (size_t p = 0; p < before[q].rows[i].size(); ++p) {
+          ExpectSameBits(before[q].rows[i][p], after[q].rows[i][p],
+                         what + " row " + std::to_string(i));
+        }
+      }
+      ASSERT_EQ(before[q].aggregate_values.size(),
+                after[q].aggregate_values.size())
+          << what;
+      for (size_t a = 0; a < before[q].aggregate_values.size(); ++a) {
+        ExpectSameBits(before[q].aggregate_values[a],
+                       after[q].aggregate_values[a],
+                       what + " aggregate " + std::to_string(a));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hytap

@@ -31,6 +31,12 @@ std::vector<Row> TestRows(size_t n) {
   return rows;
 }
 
+/// The Sscg constructor's input: `rows` (member order) as slot columns.
+std::vector<TypedColumn> Columns(const RowLayout& layout,
+                                 const std::vector<Row>& rows) {
+  return TransposeRows(layout.SlotTypes(), rows);
+}
+
 class SscgTest : public ::testing::Test {
  protected:
   SscgTest()
@@ -43,7 +49,7 @@ class SscgTest : public ::testing::Test {
 TEST_F(SscgTest, BuildWritesPages) {
   RowLayout layout(TestSchema(), {0, 1, 2, 3});
   uint64_t write_ns = 0;
-  Sscg sscg(layout, TestRows(1000), &store_, &write_ns);
+  Sscg sscg(layout, Columns(layout, TestRows(1000)), &store_, &write_ns);
   EXPECT_EQ(sscg.row_count(), 1000u);
   // Row width 32 bytes -> 128 rows per page -> 8 pages.
   EXPECT_EQ(sscg.page_count(), 8u);
@@ -54,7 +60,7 @@ TEST_F(SscgTest, BuildWritesPages) {
 TEST_F(SscgTest, ReconstructTupleMatches) {
   RowLayout layout(TestSchema(), {0, 1, 2, 3});
   const auto rows = TestRows(500);
-  Sscg sscg(layout, rows, &store_);
+  Sscg sscg(layout, Columns(layout, rows), &store_);
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
     const RowId r = rng.NextBounded(500);
@@ -68,7 +74,7 @@ TEST_F(SscgTest, ReconstructTupleMatches) {
 TEST_F(SscgTest, ReconstructionIsSinglePageRead) {
   // Paper §II-A: full-width tuple reconstruction = one 4 KB page access.
   RowLayout layout(TestSchema(), {0, 1, 2, 3});
-  Sscg sscg(layout, TestRows(1000), &store_);
+  Sscg sscg(layout, Columns(layout, TestRows(1000)), &store_);
   IoStats io;
   sscg.ReconstructTuple(999, &buffers_, 1, &io);
   EXPECT_EQ(io.page_reads + io.cache_hits, 1u);
@@ -76,7 +82,7 @@ TEST_F(SscgTest, ReconstructionIsSinglePageRead) {
 
 TEST_F(SscgTest, CacheHitsAreCheap) {
   RowLayout layout(TestSchema(), {0, 1, 2, 3});
-  Sscg sscg(layout, TestRows(100), &store_);
+  Sscg sscg(layout, Columns(layout, TestRows(100)), &store_);
   IoStats miss, hit;
   sscg.ReconstructTuple(0, &buffers_, 1, &miss);
   sscg.ReconstructTuple(1, &buffers_, 1, &hit);  // same page
@@ -89,11 +95,9 @@ TEST_F(SscgTest, CacheHitsAreCheap) {
 TEST_F(SscgTest, ProbeValue) {
   RowLayout layout(TestSchema(), {1, 2});
   const auto rows = TestRows(300);
-  Sscg sscg(layout, [&] {
-        std::vector<Row> subset;
-        for (const Row& r : rows) subset.push_back(Row{r[1], r[2]});
-        return subset;
-      }(), &store_);
+  std::vector<Row> subset;
+  for (const Row& r : rows) subset.push_back(Row{r[1], r[2]});
+  Sscg sscg(layout, Columns(layout, subset), &store_);
   IoStats io;
   EXPECT_EQ(*sscg.ProbeValue(42, 0, &buffers_, 1, &io), Value(int32_t{2}));
   EXPECT_EQ(*sscg.ProbeValue(42, 1, &buffers_, 1, &io), Value(21.0));
@@ -105,7 +109,7 @@ TEST_F(SscgTest, ScanSlotFindsMatches) {
   for (size_t r = 0; r < 400; ++r) {
     rows.push_back(Row{Value(int32_t(r)), Value(int32_t(r % 10))});
   }
-  Sscg sscg(layout, rows, &store_);
+  Sscg sscg(layout, Columns(layout, rows), &store_);
   PositionList out;
   IoStats io;
   Value v(int32_t{7});
@@ -131,8 +135,10 @@ TEST_F(SscgTest, ScanCostScalesWithGroupWidth) {
     wide_rows.push_back(std::move(wide));
     narrow_rows.push_back(Row{Value(int32_t(r))});
   }
-  Sscg narrow(RowLayout(wide_schema, {0}), narrow_rows, &store_);
-  Sscg wide(RowLayout(wide_schema, all20), wide_rows, &store_);
+  const RowLayout narrow_layout(wide_schema, {0});
+  const RowLayout wide_layout(wide_schema, all20);
+  Sscg narrow(narrow_layout, Columns(narrow_layout, narrow_rows), &store_);
+  Sscg wide(wide_layout, Columns(wide_layout, wide_rows), &store_);
   EXPECT_GE(wide.page_count(), narrow.page_count() * 15);
 }
 
@@ -142,7 +148,7 @@ TEST_F(SscgTest, ProbeSlotSharesPageFetches) {
   for (size_t r = 0; r < 1000; ++r) {
     rows.push_back(Row{Value(int32_t(r)), Value(int32_t(r % 3))});
   }
-  Sscg sscg(layout, rows, &store_);
+  Sscg sscg(layout, Columns(layout, rows), &store_);
   // Candidates all on the first page (rows 0..9, 512 rows/page for 8-byte
   // rows): only one miss expected.
   PositionList in{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
@@ -160,7 +166,7 @@ TEST_F(SscgTest, RawAccessMatchesTimedAccess) {
   for (size_t r = 0; r < 100; ++r) {
     rows.push_back(Row{Value(int32_t(r)), Value(double(r))});
   }
-  Sscg sscg(layout, rows, &store_);
+  Sscg sscg(layout, Columns(layout, rows), &store_);
   for (RowId r = 0; r < 100; r += 13) {
     EXPECT_EQ(sscg.RawValue(r, 0, store_), Value(int32_t(r)));
     EXPECT_EQ(layout.DeserializeRow(sscg.RawTuple(r, store_)), rows[r]);
@@ -250,7 +256,8 @@ class SscgTypedPredicateTest : public SscgTest {
   void CheckAllBounds() {
     const RowLayout layout(TypedSchema(), {0, 1, 2, 3, 4});
     const size_t n = 700;  // 40-byte rows: 102 per page, 7 pages
-    const Sscg sscg(layout, TypedRows(n, layout.rows_per_page()), &store_);
+    const Sscg sscg(
+        layout, Columns(layout, TypedRows(n, layout.rows_per_page())), &store_);
     PositionList candidates;
     for (RowId r = 0; r < n; r += 3) candidates.push_back(r);
     for (size_t slot = 0; slot < 5; ++slot) {

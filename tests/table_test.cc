@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "common/random.h"
+#include "query/executor.h"
+#include "storage/dictionary_column.h"
 
 namespace hytap {
 namespace {
@@ -221,6 +226,143 @@ TEST_F(TableTest, PlacementRequiresStore) {
   untethered.BulkLoad(TestRows(5));
   EXPECT_FALSE(untethered.SetPlacement({true, true, true, false}).ok());
   EXPECT_TRUE(untethered.SetPlacement({true, true, true, true}).ok());
+}
+
+// NaN: a 2-column (int32, double) table with 100 loaded rows.
+class TableNanTest : public ::testing::Test {
+ protected:
+  TableNanTest()
+      : store_(DeviceKind::kXpoint, 42, FaultConfig()),
+        buffers_(&store_, 16),
+        table_("n", Schema{{"id", DataType::kInt32, 0},
+                           {"amount", DataType::kDouble, 0}},
+               &txns_, &store_, &buffers_) {
+    std::vector<Row> rows;
+    for (int32_t r = 0; r < 100; ++r) {
+      rows.push_back(Row{Value(r), Value(double(r % 10))});
+    }
+    table_.BulkLoad(rows);
+  }
+
+  /// A quiet NaN with a payload, so bit-exact storage shows.
+  static double PayloadNan(uint64_t payload) {
+    const uint64_t bits = 0x7ff8000000000000ull | payload;
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }
+
+  void InsertNan(uint64_t payload) {
+    Transaction txn = txns_.Begin();
+    ASSERT_TRUE(table_
+                    .Insert(txn, Row{Value(int32_t(1000 + payload)),
+                                     Value(PayloadNan(payload))})
+                    .ok());
+    txns_.Commit(&txn);
+  }
+
+  static bool IsNanWithPayload(const Value& v, uint64_t payload) {
+    const double d = v.AsDouble();
+    const double want = PayloadNan(payload);
+    return std::memcmp(&d, &want, sizeof(d)) == 0;
+  }
+
+  TransactionManager txns_;
+  SecondaryStore store_;
+  BufferManager buffers_;
+  Table table_;
+};
+
+TEST_F(TableNanTest, MergeIntoMrcIsRejectedAndChangesNothing) {
+  InsertNan(1);
+  const AbstractColumn* mrc = table_.mrc(1);
+  const size_t bytes = table_.ColumnDramBytes(1);
+  const Status status = table_.MergeDelta();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("amount"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("NaN"), std::string::npos);
+  EXPECT_EQ(table_.main_row_count(), 100u);
+  EXPECT_EQ(table_.delta_row_count(), 1u);
+  EXPECT_EQ(table_.mrc(1), mrc);
+  EXPECT_EQ(table_.ColumnDramBytes(1), bytes);
+  EXPECT_TRUE(IsNanWithPayload(*table_.GetValue(1, 100, 1, nullptr), 1));
+  EXPECT_EQ(*table_.GetValue(1, 37, 1, nullptr), Value(7.0));
+}
+
+TEST_F(TableNanTest, NanInSscgMergesBitExact) {
+  ASSERT_TRUE(table_.SetPlacement({true, false}).ok());
+  InsertNan(1);
+  InsertNan(2);
+  ASSERT_TRUE(table_.MergeDelta().ok());
+  EXPECT_EQ(table_.main_row_count(), 102u);
+  EXPECT_EQ(table_.delta_row_count(), 0u);
+  EXPECT_TRUE(IsNanWithPayload(*table_.GetValue(1, 100, 1, nullptr), 1));
+  EXPECT_TRUE(IsNanWithPayload(*table_.GetValue(1, 101, 1, nullptr), 2));
+  // Footprint: the two NaNs are one dictionary entry, after the ten others.
+  std::vector<double> eleven;
+  for (int i = 0; i < 102; ++i) eleven.push_back(double(i % 11));
+  EXPECT_EQ(table_.ColumnDramBytes(1),
+            DictionaryColumn<double>::MemoryUsageFor(eleven));
+  // Every range matches a NaN in the SSCG, as in the delta.
+  QueryExecutor executor(&table_);
+  Query query;
+  query.predicates.push_back(Predicate::Between(1, Value(50.0), Value(60.0)));
+  const QueryResult result =
+      executor.Execute(txns_.Begin(), query, 1);
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.positions, (PositionList{100, 101}));
+}
+
+TEST_F(TableNanTest, PlacingNanIntoMrcIsRejectedAndChangesNothing) {
+  ASSERT_TRUE(table_.SetPlacement({true, false}).ok());
+  InsertNan(3);
+  ASSERT_TRUE(table_.MergeDelta().ok());
+  const Sscg* sscg = table_.sscg();
+  const std::vector<PageId> pages = sscg->page_ids();
+  const size_t bytes = table_.ColumnDramBytes(1);
+  uint64_t migrated = 0;
+  const Status status = table_.SetPlacement({true, true}, &migrated);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("amount"), std::string::npos);
+  EXPECT_EQ(migrated, 0u);
+  EXPECT_EQ(table_.location(1), ColumnLocation::kSecondary);
+  EXPECT_EQ(table_.sscg(), sscg);
+  EXPECT_EQ(table_.sscg()->page_ids(), pages);
+  EXPECT_EQ(table_.ColumnDramBytes(1), bytes);
+  EXPECT_TRUE(IsNanWithPayload(*table_.GetValue(1, 100, 1, nullptr), 3));
+}
+
+TEST_F(TableNanTest, CorruptMergeWithNanInSscgChangesNothing) {
+  // The rewritten group fails verification and the NaN column has no MRC
+  // to fall back to: the merge is refused as a whole.
+  ASSERT_TRUE(table_.SetPlacement({true, false}).ok());
+  InsertNan(4);
+  const Sscg* sscg = table_.sscg();
+  FaultConfig corrupt;
+  corrupt.seed = 5;
+  corrupt.write_corruption_rate = 1.0;
+  store_.ConfigureFaults(corrupt);
+  const Status status = table_.MergeDelta();
+  store_.ConfigureFaults(FaultConfig());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(table_.main_row_count(), 100u);
+  EXPECT_EQ(table_.delta_row_count(), 1u);
+  EXPECT_EQ(table_.sscg(), sscg);
+  EXPECT_EQ(table_.location(1), ColumnLocation::kSecondary);
+  EXPECT_TRUE(IsNanWithPayload(*table_.GetValue(1, 100, 1, nullptr), 4));
+  EXPECT_EQ(*table_.GetValue(1, 42, 1, nullptr), Value(2.0));
+}
+
+TEST(TableNanDeathTest, BulkLoadNamesTheNanColumn) {
+  TransactionManager txns;
+  Table table("n", Schema{{"id", DataType::kInt32, 0},
+                          {"amount", DataType::kDouble, 0}},
+              &txns);
+  std::vector<Row> rows{
+      Row{Value(int32_t{1}), Value(1.0)},
+      Row{Value(int32_t{2}), Value(std::numeric_limits<double>::quiet_NaN())}};
+  EXPECT_DEATH(table.BulkLoad(rows), "column amount holds a NaN");
 }
 
 }  // namespace
